@@ -3,7 +3,7 @@
 Usage::
 
     python benchmarks/check_bench_regression.py BENCH_pr5.json \
-        benchmarks/BENCH_baseline_pr5.json [--factor 2.0] [--require-shm]
+        benchmarks/BENCH_baseline_pr5.json [--factor 2.0]
 
 Compares a freshly produced BENCH document against the committed
 baseline and exits non-zero when the columnar engine regressed.  The
@@ -15,12 +15,6 @@ fresh document: the MAP scenario must report zone-map pruning
 (``partitions_pruned > 0``) and the columnar variant must report result
 cache hits -- a silently disabled store or cache would otherwise pass
 on speed alone.
-
-With ``--require-shm`` (the medium-scale fan-out run), every scenario
-carrying both ``parallel`` and ``parallel-pickle`` variants must show
-the shared-memory path actually engaging: segments shipped
-(``shm_bytes_shared > 0``) and fewer pickled bytes than the
-pickle-only variant.
 
 With ``--require-persisted``, every scenario carrying a
 ``store-persisted`` variant must show the disk-native store actually
@@ -80,32 +74,6 @@ def _ratio(entry: dict, numerator: str, denominator: str) -> float | None:
     if not reference:
         return None
     return _seconds(variants[numerator]) / reference
-
-
-def _shm_check(scenario: str, entry: dict) -> list:
-    """Shared-memory engagement invariants for one scenario."""
-    variants = entry["variants"]
-    shm = variants.get("parallel")
-    pickled = variants.get("parallel-pickle")
-    if shm is None or pickled is None:
-        return []
-    failures = []
-    if shm.get("shm_bytes_shared", 0) <= 0:
-        failures.append(
-            f"{scenario}: parallel variant shipped no shared-memory bytes"
-        )
-    if shm.get("shm_bytes_pickled", 0) >= pickled.get("shm_bytes_pickled", 0):
-        failures.append(
-            f"{scenario}: shared-memory path pickled "
-            f"{shm.get('shm_bytes_pickled', 0)} bytes, not fewer than the "
-            f"pickle-only path ({pickled.get('shm_bytes_pickled', 0)})"
-        )
-    if pickled.get("shm_bytes_shared", 0) != 0:
-        failures.append(
-            f"{scenario}: pickle-only variant unexpectedly used "
-            f"shared memory"
-        )
-    return failures
 
 
 def _persisted_check(scenario: str, entry: dict) -> list:
@@ -227,7 +195,7 @@ def _serving_check(fresh: dict) -> list:
 
 
 def check(
-    fresh: dict, baseline: dict, factor: float, require_shm: bool = False,
+    fresh: dict, baseline: dict, factor: float,
     require_persisted: bool = False, require_no_laggards: bool = False,
     require_sharded_scaling: bool = False, require_serving: bool = False,
 ) -> list:
@@ -238,8 +206,6 @@ def check(
     for scenario, entry in fresh["scenarios"].items():
         if not entry.get("identical_results", True):
             failures.append(f"{scenario}: engine variants disagree on results")
-        if require_shm:
-            failures.extend(_shm_check(scenario, entry))
         if require_persisted:
             failures.extend(_persisted_check(scenario, entry))
         if require_no_laggards:
@@ -284,12 +250,6 @@ def main(argv: list | None = None) -> int:
         help="allowed slowdown of the columnar/naive ratio (default: 2.0)",
     )
     parser.add_argument(
-        "--require-shm", action="store_true",
-        help="additionally require the parallel variant to ship bytes "
-             "through shared memory and pickle fewer bytes than "
-             "parallel-pickle",
-    )
-    parser.add_argument(
         "--require-persisted", action="store_true",
         help="additionally require the store-persisted variant to serve "
              "warm runs from memory-mapped segments, rebuild nothing, "
@@ -318,7 +278,7 @@ def main(argv: list | None = None) -> int:
         fresh = json.load(handle)
     with open(args.baseline) as handle:
         baseline = json.load(handle)
-    failures = check(fresh, baseline, args.factor, args.require_shm,
+    failures = check(fresh, baseline, args.factor,
                      args.require_persisted, args.require_no_laggards,
                      args.require_sharded_scaling, args.require_serving)
     for failure in failures:

@@ -5,18 +5,14 @@ simulated ENCODE-shaped data, see :mod:`repro.simulate`) on a matrix of
 engine variants and writes one BENCH JSON document:
 
 * ``naive`` -- the reference row-at-a-time kernels;
-* ``columnar-nostore`` -- the columnar kernels with the store disabled
-  (``use_store: False``) and no result cache: the pre-store baseline;
 * ``columnar`` -- columnar kernels over store blocks with zone-map
   pruning *and* the plan-fingerprint result cache: cold run pays the
   kernels, warm runs hit the cache;
 * ``auto`` -- per-node routing over the same store;
-* ``parallel`` -- the process-pool backend with zero-copy shared-memory
-  block shipping (``medium``/``full`` scales, where worker start-up
-  amortises);
-* ``parallel-pickle`` -- the same pool with shared memory disabled
-  (``use_shm: False``), isolating the serialisation cost the shm
-  protocol removes;
+* ``parallel`` -- the same columnar operators with their kernels on a
+  process pool (``medium``/``full`` scales, where worker start-up
+  amortises); the cell records how many block bytes travelled through
+  shared-memory segments, pickles and mmap handles;
 * ``store-persisted`` -- the columnar kernels over the disk-native
   persisted store (:mod:`repro.store.persist`): sources are regenerated
   before *every* repeat so nothing survives in process memory, the cold
@@ -125,16 +121,13 @@ SCALES = {
              "peaks_per_sample_mean": 400},
 }
 
-#: ``(variant name, engine, use_store, result cache enabled, use_shm,
-#: persisted store)``.
+#: ``(variant name, engine, result cache enabled, persisted store)``.
 VARIANTS = (
-    ("naive", "naive", True, False, True, False),
-    ("columnar-nostore", "columnar", False, False, True, False),
-    ("columnar", "columnar", True, True, True, False),
-    ("auto", "auto", True, True, True, False),
-    ("parallel", "parallel", True, False, True, False),
-    ("parallel-pickle", "parallel", True, False, False, False),
-    ("store-persisted", "columnar", True, False, True, True),
+    ("naive", "naive", False, False),
+    ("columnar", "columnar", True, False),
+    ("auto", "auto", True, False),
+    ("parallel", "parallel", False, False),
+    ("store-persisted", "columnar", False, True),
 )
 
 
@@ -143,7 +136,6 @@ def default_variants(scale: str) -> tuple:
     names = [name for name, *_ in VARIANTS]
     if scale in ("tiny", "smoke"):
         names.remove("parallel")
-        names.remove("parallel-pickle")
     return tuple(names)
 
 
@@ -184,9 +176,7 @@ def _run_variant(
     scale: str,
     seed: int,
     engine: str,
-    use_store: bool,
     cache_enabled: bool,
-    use_shm: bool,
     persisted: bool,
     repeat: int,
     bin_size: int | None,
@@ -226,7 +216,6 @@ def _run_variant(
                 workers=workers,
                 bin_size=bin_size,
                 result_cache=cache_enabled,
-                config={"use_store": use_store, "use_shm": use_shm},
             )
             backend = get_backend(engine)
             started = perf_counter()
@@ -265,7 +254,6 @@ def _run_variant(
                 workers=workers,
                 bin_size=bin_size,
                 result_cache=cache_enabled,
-                config={"use_store": use_store, "use_shm": use_shm},
             )
             backend = get_backend(engine)
             started = perf_counter()
@@ -304,9 +292,7 @@ def _run_variant(
     cache = result_cache().stats()
     cell = {
         "engine": engine,
-        "use_store": use_store,
         "result_cache_enabled": cache_enabled,
-        "use_shm": use_shm,
         "persisted_store": persisted,
         "cold_seconds": min(extra_colds + [runs[0]]),
         "warm_seconds": min(runs[1:]) if len(runs) > 1 else None,
@@ -497,12 +483,10 @@ def run_bench(
         program = PROGRAMS[scenario]
         cells = {}
         for variant in variant_names:
-            engine, use_store, cache_enabled, use_shm, persisted = \
-                by_name[variant]
+            engine, cache_enabled, persisted = by_name[variant]
             cells[variant] = _run_variant(
-                program, scale, seed, engine, use_store, cache_enabled,
-                use_shm, persisted, repeat, bin_size, workers,
-                cold_repeat=cold_repeat,
+                program, scale, seed, engine, cache_enabled, persisted,
+                repeat, bin_size, workers, cold_repeat=cold_repeat,
             )
         digests = {cell["digest"] for cell in cells.values()}
         entry = {
@@ -517,14 +501,7 @@ def run_bench(
             entry["sharded"] = _run_sharded_matrix(
                 program, scale, seed, nodes, repeat, workers, baseline_digest
             )
-        baseline = cells.get("columnar-nostore")
         store_cell = cells.get("columnar")
-        if baseline and store_cell:
-            warm = store_cell["warm_seconds"] or store_cell["cold_seconds"]
-            reference = baseline["warm_seconds"] or baseline["cold_seconds"]
-            entry["columnar_vs_nostore_speedup"] = (
-                reference / warm if warm else None
-            )
         naive_cell = cells.get("naive")
         if naive_cell and store_cell:
             cold = store_cell["cold_seconds"]
@@ -592,12 +569,6 @@ def render_summary(document: dict) -> str:
                 )
         if not entry["identical_results"]:
             lines.append("  WARNING: variants disagree on result content")
-        speedup = entry.get("columnar_vs_nostore_speedup")
-        if speedup is not None:
-            lines.append(
-                f"  columnar (store+cache) vs columnar-nostore:"
-                f" {speedup:.1f}x warm"
-            )
         speedup = entry.get("columnar_vs_naive_speedup")
         if speedup is not None:
             lines.append(

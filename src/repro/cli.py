@@ -219,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_cmd.add_argument(
         "--engines", default=None, metavar="NAMES",
-        help="comma-separated variant subset (naive,columnar-nostore,"
-             "columnar,auto,parallel,parallel-pickle,store-persisted,"
-             "sharded)",
+        help="comma-separated variant subset (naive,columnar,auto,"
+             "parallel,store-persisted,sharded)",
     )
     bench_cmd.add_argument(
         "--variant", default=None, metavar="NAMES",

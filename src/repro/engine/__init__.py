@@ -1,13 +1,17 @@
 """Execution engines: one logical plan, several backends.
 
 * ``naive``    -- record-at-a-time reference implementation;
-* ``columnar`` -- numpy columnar kernels (vectorised coordinates);
-* ``parallel`` -- genome-binned partitioning over a process pool;
-* ``auto``     -- per-operator routing between the three above, driven
-  by the physical planner's cost estimates.
+* ``columnar`` -- numpy columnar operators, per-chromosome kernels run
+  inline;
+* ``parallel`` -- the same operators with those kernels on a process
+  pool (an executor, not a second encoding);
+* ``sharded``  -- chromosome-group shards of the columnar operators,
+  recombined by ``merge_partials``;
+* ``auto``     -- per-operator routing between the above, driven by the
+  physical planner's cost estimates.
 
-This mirrors the paper's section 4.2: only the ~20 operator encodings
-differ between backends, everything above them is shared.  Execution is
+This mirrors the paper's section 4.2: one compiler and optimizer, the
+operator encodings shared, the execution framework swapped underneath.  Execution is
 observed through :class:`ExecutionContext` (span tracing, metrics,
 deadline/cancellation) threaded from the interpreter into every kernel.
 """

@@ -19,7 +19,7 @@ Two entry points share one policy, :func:`choose_backend`:
 from __future__ import annotations
 
 from repro.engine.base import Backend, EngineStats
-from repro.store import shm_enabled
+from repro.store import shared_memory_available
 
 #: Input-region count above which region-heavy operators are worth
 #: shipping to worker processes (pickling cost must be amortised).
@@ -60,15 +60,14 @@ def parallel_threshold() -> int:
 
     Shared memory removes most serialisation cost, moving the break-even
     point down, and a persisted store root removes nearly all of it
-    (workers re-map immutable segment files); hosts without ``/dev/shm``
-    (or with shared memory gated off) keep the conservative pickle
-    threshold.
+    (workers re-map immutable segment files); hosts without shared
+    memory keep the conservative pickle threshold.
     """
     from repro.store.persist import store_root
 
     if store_root() is not None:
         return PARALLEL_REGION_THRESHOLD_MMAP
-    if shm_enabled():
+    if shared_memory_available():
         return PARALLEL_REGION_THRESHOLD_SHM
     return PARALLEL_REGION_THRESHOLD
 

@@ -22,16 +22,10 @@ into the context's registry.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.gdm import Dataset
 from repro.resilience.clock import perf_counter
-
-
-def use_store_from_env() -> bool:
-    """Whether ``REPRO_STORE`` leaves the columnar store enabled."""
-    return os.environ.get("REPRO_STORE", "").strip() != "0"
 
 
 @dataclass(frozen=True)
@@ -157,19 +151,6 @@ class Backend:
         self.close()
 
     # -- columnar-store configuration -------------------------------------------
-
-    def use_store(self) -> bool:
-        """Whether kernels may use the columnar store and zone-map pruning.
-
-        Disabled via the bound context (``config={"use_store": False}``)
-        or the ``REPRO_STORE=0`` environment variable; the bench harness
-        uses the former to measure the pre-store baseline.
-        """
-        if self._context is not None and not self._context.config.get(
-            "use_store", True
-        ):
-            return False
-        return use_store_from_env()
 
     def store_bin_size(self) -> int | None:
         """Zone-map bin size for this run (context, env, or store default)."""

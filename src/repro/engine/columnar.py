@@ -6,9 +6,10 @@ per-dataset columnar blocks (:meth:`Dataset.store`) instead of
 rebuilding coordinate arrays from region objects on every operator:
 
 * **MAP** -- COUNT-only aggregates use the two-``searchsorted`` counting
-  identity (:func:`repro.store.count_overlaps_blocks`) with zone-map
-  chromosome/bin pruning; every other registered aggregate runs on the
-  overlap-pair kernel (:func:`repro.store.overlap_pairs`) with grouped
+  identity (:func:`repro.store.overlap_counts`) with zone-map
+  chromosome/bin pruning (:func:`repro.store.count_morsels`); every
+  other registered aggregate runs on the overlap-pair kernel
+  (:func:`repro.store.overlap_pairs`) with grouped
   ``reduceat``/sorted-prefix reductions.  Float SUM/AVG/STD reduce with
   the exact vectorised summation of :func:`repro.store.segment_fsum`
   (bit-identical to the ``math.fsum`` the naive aggregates are defined
@@ -39,15 +40,17 @@ rebuilding coordinate arrays from region objects on every operator:
   memoised column arrays, and conjunctive coordinate bounds prune whole
   chromosomes via the zone map.
 
-Array building lives in :mod:`repro.store` only: with ``use_store:
-False`` (or ``REPRO_STORE=0``) the kernels build *ephemeral*
-:class:`~repro.store.SampleBlocks` per operator invocation instead of
-memoised ones -- same kernels, no cross-operator reuse and no pruning
-accounting -- which is what ``repro bench`` measures as the pre-store
-baseline.  Metadata-centric operators fall back to the naive kernels:
-backends differ only where vectorisation pays, which is itself a
-faithful reproduction of how the Spark/Flink encodings share their
-front end.
+Array building lives in :mod:`repro.store` only.  Each operator plans
+in the calling process -- sample pairing, zone-map and dead-bin pruning,
+output schema -- and hands every (unit, chromosome) piece of pure array
+work to :meth:`ColumnarBackend.submit_kernel`; rows are rehydrated from
+the returned arrays by the same code whichever executor ran the piece.
+This backend runs the pieces inline;
+:class:`~repro.engine.parallel.ParallelBackend` overrides that one
+method to run them on a process pool.  Metadata-centric operators fall
+back to the naive kernels: backends differ only where vectorisation
+pays, which is itself a faithful reproduction of how the Spark/Flink
+encodings share their front end.
 """
 
 from __future__ import annotations
@@ -75,12 +78,14 @@ from repro.gmql.predicates import (
     RegionOr,
 )
 from repro.store.columnar import (
-    SampleBlocks,
-    count_overlaps_blocks,
+    count_morsels,
     depth_segments,
+    live_block_pairs,
+    overlap_counts,
 )
 from repro.store.cover_kernels import (
-    group_cover_rows,
+    chrom_cover_rows,
+    group_cover_parts,
     mask_chrom_events,
     overlap_any_mask,
 )
@@ -509,48 +514,6 @@ def aggregate_segments(
     return out
 
 
-def map_pair_extras(
-    ref_blocks: SampleBlocks, exp_blocks: SampleBlocks,
-    columns: dict, resolved: list, use_store: bool,
-) -> tuple:
-    """Per-reference aggregate tuples for one (reference, experiment) pair.
-
-    Returns ``(rows, pruned)``: *rows* is aligned with the reference
-    sample's region order; *pruned* counts zone-pruned partitions (zero
-    unless *use_store*).
-    """
-    empty_row = tuple(
-        aggregate.compute([]) for aggregate, __, ___ in resolved
-    )
-    rows = [empty_row] * ref_blocks.n_regions
-    pruned = 0
-    for chrom, block in ref_blocks.chroms.items():
-        exp_block = exp_blocks.block(chrom)
-        if exp_block is None:
-            if use_store:
-                pruned += ref_blocks.zone_map.entry(chrom).partitions
-            continue
-        if use_store:
-            ref_entry = ref_blocks.zone_map.entry(chrom)
-            exp_entry = exp_blocks.zone_map.entry(chrom)
-            if not ref_entry.window_overlaps(
-                exp_entry.min_start, exp_entry.max_stop
-            ):
-                pruned += ref_entry.partitions
-                continue
-        ref_rows, e_pos = overlap_pairs(
-            block.starts, block.stops,
-            exp_block.sorted_starts, exp_block.left_stops,
-        )
-        columns_out = pair_group_columns(
-            block, exp_block, ref_rows, e_pos, columns, resolved
-        )
-        positions = block.index.tolist()
-        for local, values in enumerate(zip(*columns_out)):
-            rows[positions[local]] = values
-    return rows, pruned
-
-
 def pair_group_columns(
     ref_block, exp_block, ref_rows: np.ndarray, e_pos: np.ndarray,
     columns: dict, resolved: list,
@@ -577,8 +540,7 @@ def join_emitter(merged, output: str):
 
     Returns ``emit(anchor_region, experiment_region, gap) -> region | None``
     implementing the LEFT/RIGHT/INT/CAT coordinate options with the
-    naive operator's strand-combination rules; shared by the columnar
-    and parallel backends so materialisation semantics cannot drift.
+    naive operator's strand-combination rules.
     """
     from repro.gmql.operators.join import _combine_strand
 
@@ -603,30 +565,62 @@ def join_emitter(merged, output: str):
     return emit
 
 
+# -- array kernels: the unit of work an executor runs -------------------------
+#
+# Operators below plan in the calling process and hand each (unit,
+# chromosome) piece of array work to :meth:`ColumnarBackend.submit_kernel`
+# as ``fn(*arrays, **scalars)``.  *fn* is a module-level function of numpy
+# arrays returning freshly allocated arrays -- never views of its inputs,
+# which in a pool worker are shared-memory views released on return:
+# :func:`repro.store.overlap_counts`, :func:`repro.store.overlap_pairs`,
+# :func:`repro.store.join_pairs`, :func:`repro.store.overlap_any_mask`
+# and :func:`cover_rows`.
+
+
+def cover_rows(*columns, lo: int, hi: int, variant: str) -> tuple:
+    """:func:`repro.store.chrom_cover_rows` over a flat column list.
+
+    *columns* is each contributing block's
+    :func:`repro.store.block_cover_columns` laid end to end (3 per
+    block, 4 for FLAT), the shape an array shipper can carry.
+    """
+    per = 4 if variant == "FLAT" else 3
+    parts = [columns[i:i + per] for i in range(0, len(columns), per)]
+    return chrom_cover_rows(parts, lo, hi, variant)
+
+
+class DeferredKernel:
+    """A kernel call that runs when its result is asked for.
+
+    The inline executor's stand-in for a pool future: nothing is
+    computed or held until the operator's emit loop reaches the piece.
+    """
+
+    __slots__ = ("fn", "arrays", "scalars")
+
+    def __init__(self, fn, arrays, scalars: dict) -> None:
+        self.fn = fn
+        self.arrays = arrays
+        self.scalars = scalars
+
+    def result(self):
+        return self.fn(*self.arrays, **self.scalars)
+
+
 class ColumnarBackend(NaiveBackend):
     """Numpy-vectorised backend (falls back to naive where noted above)."""
 
     name = "columnar"
 
-    def _blocks_of(self, store, sample, scratch: dict):
-        """Store blocks when available, ephemeral blocks otherwise.
+    def submit_kernel(self, fn, arrays, **scalars):
+        """Schedule ``fn(*arrays, **scalars)``; returns a ``.result()`` handle.
 
-        *scratch* memoises ephemeral blocks for the duration of one
-        operator invocation so a sample paired many times is still
-        built once.
+        The one decision executors differ in: here the call is deferred
+        and runs inline when the result is read;
+        :class:`~repro.engine.parallel.ParallelBackend` ships the arrays
+        to a worker process instead.
         """
-        if store is not None:
-            return store.blocks(sample)
-        blocks = scratch.get(sample.id)
-        if blocks is None:
-            from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-            blocks = SampleBlocks(
-                sample.id, sample.regions,
-                self.store_bin_size() or DEFAULT_BIN_SIZE,
-            )
-            scratch[sample.id] = blocks
-        return blocks
+        return DeferredKernel(fn, arrays, scalars)
 
     # -- SELECT ----------------------------------------------------------------
 
@@ -642,8 +636,7 @@ class ColumnarBackend(NaiveBackend):
                 semijoin = SemiJoin(
                     plan.semijoin_attributes, semijoin_data, plan.semijoin_negated
                 )
-            use_store = self.use_store()
-            store = self.dataset_store(child) if use_store else None
+            store = self.dataset_store(child)
             conjuncts = _conjuncts(plan.region_predicate)
 
             def parts():
@@ -654,9 +647,9 @@ class ColumnarBackend(NaiveBackend):
                         continue
                     if semijoin is not None and not semijoin.admits(sample):
                         continue
-                    blocks = store.blocks(sample) if store is not None else None
+                    blocks = store.blocks(sample)
                     live = None
-                    if blocks is not None and sample.regions:
+                    if sample.regions:
                         dead_positions = []
                         pruned = 0
                         for chrom, entry in blocks.zone_map.entries.items():
@@ -675,9 +668,7 @@ class ColumnarBackend(NaiveBackend):
                                 continue
                     mask = _vectorise_predicate(
                         plan.region_predicate, child.schema, sample.regions,
-                        column_cache=(
-                            blocks.column_cache if blocks is not None else None
-                        ),
+                        column_cache=blocks.column_cache,
                     )
                     if mask is None:
                         bound = plan.region_predicate.bind(child.schema)
@@ -723,6 +714,14 @@ class ColumnarBackend(NaiveBackend):
             return self._run_map_counts(plan, reference, experiment, aggregates)
         return self._run_map_pairs(plan, reference, experiment, aggregates)
 
+    def _pair_stores(self, left: Dataset, right: Dataset) -> tuple:
+        """Both operands' stores under this run's bin size."""
+        bin_size = self.store_bin_size()
+        return (
+            self.dataset_store(left, bin_size),
+            self.dataset_store(right, bin_size),
+        )
+
     def _run_map_counts(self, plan, reference, experiment, aggregates):
         def kernel():
             from repro.gdm import AttributeDef, INT
@@ -731,26 +730,25 @@ class ColumnarBackend(NaiveBackend):
             schema = reference.schema.extend(
                 *(AttributeDef(name, INT) for name in aggregates)
             )
-            use_store = self.use_store()
-            ref_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                ref_store = self.dataset_store(reference, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            ref_scratch: dict = {}
-            exp_scratch: dict = {}
+            ref_store, exp_store = self._pair_stores(reference, experiment)
+            pairs = list(sample_pairs(reference, experiment, plan.joinby))
+            planned = []  # per pair: [(reference rows, handle), ...]
+            for ref_sample, exp_sample in pairs:
+                morsels, pruned = count_morsels(
+                    ref_store.blocks(ref_sample), exp_store.blocks(exp_sample)
+                )
+                self.note_pruned(pruned)
+                planned.append([
+                    (index, self.submit_kernel(overlap_counts, arrays))
+                    for index, arrays in morsels
+                ])
+            width = len(aggregates)
 
             def parts():
-                for ref_sample, exp_sample in sample_pairs(
-                    reference, experiment, plan.joinby
-                ):
-                    counts, pruned = count_overlaps_blocks(
-                        self._blocks_of(ref_store, ref_sample, ref_scratch),
-                        self._blocks_of(exp_store, exp_sample, exp_scratch),
-                    )
-                    if use_store:
-                        self.note_pruned(pruned)
-                    width = len(aggregates)
+                for (ref_sample, exp_sample), tasks in zip(pairs, planned):
+                    counts = np.zeros(len(ref_sample.regions), dtype=np.int64)
+                    for index, task in tasks:
+                        counts[index] = task.result()
                     regions = [
                         region.with_values(
                             region.values + (int(count),) * width
@@ -782,33 +780,48 @@ class ColumnarBackend(NaiveBackend):
             schema, resolved = resolve_map_aggregates(
                 aggregates, reference, experiment
             )
-            use_store = self.use_store()
-            ref_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                ref_store = self.dataset_store(reference, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            ref_scratch: dict = {}
-            exp_scratch: dict = {}
+            ref_store, exp_store = self._pair_stores(reference, experiment)
+            pairs = list(sample_pairs(reference, experiment, plan.joinby))
+            planned = []  # per pair: [(ref_block, exp_block, handle), ...]
+            for ref_sample, exp_sample in pairs:
+                block_pairs, pruned = live_block_pairs(
+                    ref_store.blocks(ref_sample), exp_store.blocks(exp_sample)
+                )
+                self.note_pruned(pruned)
+                planned.append([
+                    (
+                        block,
+                        exp_block,
+                        self.submit_kernel(overlap_pairs, (
+                            block.starts, block.stops,
+                            exp_block.sorted_starts, exp_block.left_stops,
+                        )),
+                    )
+                    for block, exp_block in block_pairs
+                ])
+            empty_row = tuple(
+                aggregate.compute([]) for aggregate, __, ___ in resolved
+            )
             columns_by_sample: dict = {}
 
             def parts():
-                for ref_sample, exp_sample in sample_pairs(
-                    reference, experiment, plan.joinby
-                ):
+                for (ref_sample, exp_sample), tasks in zip(pairs, planned):
                     columns = columns_by_sample.get(exp_sample.id)
                     if columns is None:
                         columns = experiment_columns(
                             exp_sample.regions, resolved
                         )
                         columns_by_sample[exp_sample.id] = columns
-                    rows, pruned = map_pair_extras(
-                        self._blocks_of(ref_store, ref_sample, ref_scratch),
-                        self._blocks_of(exp_store, exp_sample, exp_scratch),
-                        columns, resolved, use_store,
-                    )
-                    if use_store:
-                        self.note_pruned(pruned)
+                    rows = [empty_row] * len(ref_sample.regions)
+                    for block, exp_block, task in tasks:
+                        ref_rows, e_pos = task.result()
+                        columns_out = pair_group_columns(
+                            block, exp_block, ref_rows, e_pos,
+                            columns, resolved,
+                        )
+                        positions = block.index.tolist()
+                        for local, values in enumerate(zip(*columns_out)):
+                            rows[positions[local]] = values
                     regions = [
                         region.with_values(region.values + extras)
                         for region, extras in zip(ref_sample.regions, rows)
@@ -840,29 +853,35 @@ class ColumnarBackend(NaiveBackend):
 
             self.note_kernel("cover.sweep")
             schema = RegionSchema((AttributeDef("acc_index", INT),))
-            use_store = self.use_store()
-            store = self.dataset_store(child) if use_store else None
-            scratch: dict = {}
-            from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-            bin_size = (
-                store.bin_size if store is not None
-                else self.store_bin_size() or DEFAULT_BIN_SIZE
-            )
+            store = self.dataset_store(child)
+            groups = group_samples(child, plan.groupby)
+            planned = []  # per group: genome-ordered [(chrom, handle), ...]
+            for __, samples in groups:
+                lo = plan.min_acc.resolve(len(samples), is_lower=True)
+                hi = plan.max_acc.resolve(len(samples), is_lower=False)
+                # No COVER variant merges runs across chromosomes, so
+                # each chromosome's sweep is an independent piece.
+                planned.append([
+                    (
+                        chrom,
+                        self.submit_kernel(
+                            cover_rows,
+                            [column for part in chrom_parts for column in part],
+                            lo=lo, hi=hi, variant=plan.variant,
+                        ),
+                    )
+                    for chrom, chrom_parts in group_cover_parts(
+                        [store.blocks(sample) for sample in samples],
+                        lo, plan.variant,
+                        bin_size=store.bin_size, on_pruned=self.note_pruned,
+                    )
+                ])
 
             def parts():
-                for __, samples in group_samples(child, plan.groupby):
-                    lo = plan.min_acc.resolve(len(samples), is_lower=True)
-                    hi = plan.max_acc.resolve(len(samples), is_lower=False)
-                    blocks_list = [
-                        self._blocks_of(store, sample, scratch)
-                        for sample in samples
-                    ]
+                for (__, samples), tasks in zip(groups, planned):
                     out = []
-                    for chrom, lefts, rights, depths in group_cover_rows(
-                        blocks_list, lo, hi, plan.variant,
-                        bin_size=bin_size, on_pruned=self.note_pruned,
-                    ):
+                    for chrom, task in tasks:
+                        lefts, rights, depths = task.result()
                         out.extend(
                             GenomicRegion(chrom, left, right, "*", (depth,))
                             for left, right, depth in zip(
@@ -896,52 +915,74 @@ class ColumnarBackend(NaiveBackend):
             condition = plan.condition
             md_k = condition.min_distance_k()
             max_distance = condition.max_distance()
-            min_distance = condition.min_distance()
-            upstream = any(
-                isinstance(c, Upstream) for c in condition.clauses
-            )
-            downstream = any(
-                isinstance(c, Downstream) for c in condition.clauses
-            )
+            clauses = {
+                "max_distance": max_distance,
+                "min_distance": condition.min_distance(),
+                "md_k": md_k,
+                "upstream": any(
+                    isinstance(c, Upstream) for c in condition.clauses
+                ),
+                "downstream": any(
+                    isinstance(c, Downstream) for c in condition.clauses
+                ),
+            }
             self.note_kernel(
                 "join.nearest" if md_k is not None else "join.window"
             )
 
             merged = anchor.schema.merge(experiment.schema)
             schema = merged.schema.extend(AttributeDef("dist", INT))
-            use_store = self.use_store()
-            anchor_store = exp_store = None
-            if use_store:
-                bin_size = self.store_bin_size()
-                anchor_store = self.dataset_store(anchor, bin_size)
-                exp_store = self.dataset_store(experiment, bin_size)
-            anchor_scratch: dict = {}
-            exp_scratch: dict = {}
             emit = join_emitter(merged, plan.output)
+            anchor_store, exp_store = self._pair_stores(anchor, experiment)
+            # Anchor chromosomes the experiment provably cannot reach are
+            # pruned: the DLE window is widened by one because DLE
+            # accepts gap == limit while zone windows are strict (sound
+            # under MD(k) too, which only ever shrinks the candidates).
+            margin = None if max_distance is None else max_distance + 1
+            pairs = list(sample_pairs(anchor, experiment, plan.joinby))
+            planned = []  # per pair: [(a_block, e_block, handle), ...]
+            for anchor_sample, exp_sample in pairs:
+                block_pairs, pruned = live_block_pairs(
+                    anchor_store.blocks(anchor_sample),
+                    exp_store.blocks(exp_sample),
+                    margin,
+                )
+                self.note_pruned(pruned)
+                tasks = []
+                for a_block, e_block in block_pairs:
+                    arrays = [
+                        a_block.starts, a_block.stops, a_block.strands,
+                        e_block.sorted_starts, e_block.left_stops,
+                    ]
+                    if md_k is not None:
+                        arrays.append(e_block.sorted_stops)
+                    tasks.append((
+                        a_block,
+                        e_block,
+                        self.submit_kernel(join_pairs, arrays, **clauses),
+                    ))
+                planned.append(tasks)
 
             def parts():
-                for anchor_sample, exp_sample in sample_pairs(
-                    anchor, experiment, plan.joinby
-                ):
-                    a_blocks = self._blocks_of(
-                        anchor_store, anchor_sample, anchor_scratch
-                    )
-                    e_blocks = self._blocks_of(
-                        exp_store, exp_sample, exp_scratch
-                    )
-                    regions, pruned = join_sample_pair(
-                        a_blocks, e_blocks,
-                        anchor_sample.regions, exp_sample.regions,
-                        emit,
-                        max_distance=max_distance,
-                        min_distance=min_distance,
-                        md_k=md_k,
-                        upstream=upstream,
-                        downstream=downstream,
-                        use_store=use_store,
-                    )
-                    if use_store:
-                        self.note_pruned(pruned)
+                for (anchor_sample, exp_sample), tasks in zip(pairs, planned):
+                    # Region objects are rehydrated only for emitted pairs.
+                    anchor_regions = anchor_sample.regions
+                    exp_regions = exp_sample.regions
+                    regions = []
+                    for a_block, e_block, task in tasks:
+                        a_rows, e_pos, gaps = task.result()
+                        if a_rows.size == 0:
+                            continue
+                        a_index = a_block.index[a_rows]
+                        e_index = e_block.index[e_block.left_order[e_pos]]
+                        for a_i, e_i, gap in zip(
+                            a_index.tolist(), e_index.tolist(), gaps.tolist()
+                        ):
+                            out = emit(
+                                anchor_regions[a_i], exp_regions[e_i], gap
+                            )
+                            if out is not None:
+                                regions.append(out)
                     regions.sort(key=GenomicRegion.sort_key)
                     yield (
                         regions,
@@ -970,51 +1011,43 @@ class ColumnarBackend(NaiveBackend):
 
         def kernel():
             self.note_kernel("difference.sweep")
-            use_store = self.use_store()
-            bin_size = self.store_bin_size()
-            if use_store:
-                left_store = self.dataset_store(left, bin_size)
-                mask_blocks = self.dataset_store(right, bin_size).union_blocks()
-            else:
-                from repro.intervals.bins import DEFAULT_BIN_SIZE
-
-                left_store = None
-                mask_blocks = SampleBlocks(
-                    None,
-                    [region for sample in right for region in sample.regions],
-                    bin_size or DEFAULT_BIN_SIZE,
-                )
-            scratch: dict = {}
+            left_store, right_store = self._pair_stores(left, right)
+            mask_blocks = right_store.union_blocks()
             # The probe side's sweep (merged coverage runs + raw wide
-            # events) is a per-chromosome constant: compute it lazily,
-            # reuse it across every left-side sample.
+            # events) is a per-chromosome constant, shared by every
+            # left-side sample's pieces.
             mask_events: dict = {}
 
-            def chrom_events(chrom: str) -> tuple:
-                events = mask_events.get(chrom)
+            def chrom_events(mask_block) -> tuple:
+                events = mask_events.get(mask_block.chrom)
                 if events is None:
-                    events = mask_chrom_events(mask_blocks.chroms[chrom])
-                    mask_events[chrom] = events
+                    events = mask_chrom_events(mask_block)
+                    mask_events[mask_block.chrom] = events
                 return events
 
+            samples = list(left)
+            planned = []  # per sample: [(block, handle), ...]
+            for sample in samples:
+                block_pairs, pruned = live_block_pairs(
+                    left_store.blocks(sample), mask_blocks
+                )
+                self.note_pruned(pruned)
+                planned.append([
+                    (
+                        block,
+                        self.submit_kernel(overlap_any_mask, (
+                            block.starts, block.stops,
+                            *chrom_events(mask_block),
+                        )),
+                    )
+                    for block, mask_block in block_pairs
+                ])
+
             def parts():
-                for sample in left:
-                    blocks = self._blocks_of(left_store, sample, scratch)
-                    overlapped = np.zeros(blocks.n_regions, dtype=bool)
-                    pruned = 0
-                    for chrom, block in blocks.chroms.items():
-                        ref_entry = blocks.zone_map.entry(chrom)
-                        probe_entry = mask_blocks.zone_map.entry(chrom)
-                        if probe_entry is None or not ref_entry.window_overlaps(
-                            probe_entry.min_start, probe_entry.max_stop
-                        ):
-                            pruned += ref_entry.partitions
-                            continue
-                        overlapped[block.index] = overlap_any_mask(
-                            block.starts, block.stops, *chrom_events(chrom)
-                        )
-                    if use_store:
-                        self.note_pruned(pruned)
+                for sample, tasks in zip(samples, planned):
+                    overlapped = np.zeros(len(sample.regions), dtype=bool)
+                    for block, task in tasks:
+                        overlapped[block.index] = task.result()
                     kept = [
                         region
                         for region, hit in zip(
@@ -1033,59 +1066,3 @@ class ColumnarBackend(NaiveBackend):
             )
 
         return self.timed("DIFFERENCE", kernel)
-
-
-def join_sample_pair(
-    a_blocks: SampleBlocks, e_blocks: SampleBlocks,
-    anchor_regions: list, exp_regions: list, emit,
-    *, max_distance, min_distance, md_k, upstream, downstream,
-    use_store: bool,
-) -> tuple:
-    """Materialised join regions for one (anchor, experiment) sample pair.
-
-    Runs :func:`repro.store.join_pairs` per shared chromosome, prunes
-    anchor chromosomes the experiment zone map proves unreachable (DLE
-    window widened by one because DLE accepts ``gap == limit`` while
-    zone windows are strict; sound even under MD(k), which only ever
-    *shrinks* the candidate set), and rehydrates region objects only for
-    emitted pairs.  Returns ``(regions, pruned_partitions)`` with
-    regions *unsorted* -- the caller owns the final stable sample sort.
-    """
-    regions: list = []
-    pruned = 0
-    for chrom, a_block in a_blocks.chroms.items():
-        e_block = e_blocks.block(chrom)
-        if e_block is None:
-            if use_store:
-                pruned += a_blocks.zone_map.entry(chrom).partitions
-            continue
-        if use_store and max_distance is not None:
-            a_entry = a_blocks.zone_map.entry(chrom)
-            e_entry = e_blocks.zone_map.entry(chrom)
-            if not e_entry.window_overlaps(
-                a_entry.min_start - max_distance - 1,
-                a_entry.max_stop + max_distance + 1,
-            ):
-                pruned += a_entry.partitions
-                continue
-        a_rows, e_pos, gaps = join_pairs(
-            a_block.starts, a_block.stops, a_block.strands,
-            e_block.sorted_starts, e_block.left_stops,
-            e_block.sorted_stops if md_k is not None else None,
-            max_distance=max_distance,
-            min_distance=min_distance,
-            md_k=md_k,
-            upstream=upstream,
-            downstream=downstream,
-        )
-        if a_rows.size == 0:
-            continue
-        a_index = a_block.index[a_rows]
-        e_index = e_block.index[e_block.left_order[e_pos]]
-        for a_i, e_i, gap in zip(
-            a_index.tolist(), e_index.tolist(), gaps.tolist()
-        ):
-            out = emit(anchor_regions[a_i], exp_regions[e_i], gap)
-            if out is not None:
-                regions.append(out)
-    return regions, pruned

@@ -37,7 +37,8 @@ class Dataset:
         samples already conform (operators use this on data they built).
     """
 
-    __slots__ = ("name", "schema", "_samples", "provenance", "_stores")
+    __slots__ = ("name", "schema", "_samples", "provenance", "_stores",
+                 "_shard_summary")
 
     def __init__(
         self,
@@ -54,6 +55,9 @@ class Dataset:
         #: Memoised :class:`~repro.store.columnar.DatasetStore` objects,
         #: keyed by bin size; invalidated whenever a sample is added.
         self._stores: dict = {}
+        #: Memoised :meth:`shard_summary` (the one summary statistic that
+        #: walks every region); invalidated with the stores.
+        self._shard_summary: dict | None = None
         #: Provenance records attached by GMQL operators (see
         #: :mod:`repro.gmql.provenance`); empty for source datasets.
         self.provenance: list = []
@@ -72,6 +76,7 @@ class Dataset:
             sample = self._conform(sample)
         self._samples[sample.id] = sample
         self._stores = {}
+        self._shard_summary = None
 
     def _conform(self, sample: Sample) -> Sample:
         width = len(self.schema)
@@ -231,6 +236,7 @@ class Dataset:
         self._samples = state["_samples"]
         self.provenance = state["provenance"]
         self._stores = {}
+        self._shard_summary = None
 
     def estimated_size_bytes(self) -> int:
         """Rough serialised size, used by the federation cost estimator.
@@ -284,7 +290,22 @@ class Dataset:
         model.  ``clustered`` reports whether every sample's regions
         form one contiguous run per chromosome in genome order -- the
         precondition for order-preserving shard slicing and merging.
+
+        The walk over every region is done once and memoised until a
+        sample is added (physical planning asks on every plan); each
+        call returns a fresh copy, so callers may edit theirs.
         """
+        if self._shard_summary is None:
+            self._shard_summary = self._walk_shards()
+        memo = self._shard_summary
+        return {
+            "clustered": memo["clustered"],
+            "chroms": {
+                chrom: list(entry) for chrom, entry in memo["chroms"].items()
+            },
+        }
+
+    def _walk_shards(self) -> dict:
         from repro.gdm.region import chromosome_sort_key
 
         per_region = 32 + 12 * len(self.schema)

@@ -246,10 +246,9 @@ def _kernel_hint(node: PlanNode, backend: str) -> str | None:
     """
     if backend not in ("columnar", "parallel"):
         return None
-    suffix = "+shm" if backend == "parallel" else ""
     if isinstance(node, JoinPlan):
         nearest = node.condition.min_distance_k() is not None
-        return ("join.nearest" if nearest else "join.window") + suffix
+        return "join.nearest" if nearest else "join.window"
     if node.kind == "map":
         from repro.gmql.aggregates import Count
 
@@ -258,14 +257,14 @@ def _kernel_hint(node: PlanNode, backend: str) -> str | None:
             isinstance(aggregate, Count) and attribute is None
             for aggregate, attribute in aggregates.values()
         )
-        return ("map.count" if only_counts else "map.pairs") + suffix
+        return "map.count" if only_counts else "map.pairs"
     if node.kind == "cover":
-        return "cover.sweep" + suffix
+        return "cover.sweep"
     if node.kind == "difference":
         # Exact and joinby DIFFERENCE fall back to the naive kernel.
         if getattr(node, "exact", False) or getattr(node, "joinby", None):
             return None
-        return "difference.sweep" + suffix
+        return "difference.sweep"
     return None
 
 

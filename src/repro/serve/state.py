@@ -9,7 +9,9 @@ holds the state the CLI rebuilds (and discards) per invocation:
   build them);
 * the **compiled-program cache** -- GMQL text compiles (and optimizes)
   once per distinct program, with exact schemas from the resident
-  sources, so repeat queries skip parse/analyze/optimize entirely;
+  sources, so repeat queries skip parse/analyze/optimize entirely; an
+  LRU of :data:`COMPILED_PROGRAMS_MAX` entries, so a stream of one-off
+  programs cannot grow the process without bound;
 * one **shared worker process pool**, handed to every backend slot the
   scheduler creates, so fan-out kernels of concurrent queries multiplex
   onto the same warm workers;
@@ -21,10 +23,17 @@ holds the state the CLI rebuilds (and discards) per invocation:
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.dispatch import get_backend
 from repro.resilience.clock import monotonic, perf_counter
+
+#: Compiled programs kept resident (least recently used evicted first).
+#: A compiled program is a few kilobytes of plan nodes; this is sized so
+#: a realistic working set of distinct queries stays hot while
+#: parameter-swept one-offs age out.
+COMPILED_PROGRAMS_MAX = 256
 
 
 class WarmState:
@@ -70,11 +79,13 @@ class WarmState:
         self.started_at = monotonic()
         self.warm_seconds: float | None = None
         self._pool: ProcessPoolExecutor | None = None
+        self._pool_workers = 0
         self._pool_lock = threading.Lock()
-        self._compiled: dict = {}
+        self._compiled: OrderedDict = OrderedDict()
         self._compile_lock = threading.Lock()
         self.compile_hits = 0
         self.compile_misses = 0
+        self.compile_evictions = 0
 
     # -- warm-up -----------------------------------------------------------------
 
@@ -113,15 +124,20 @@ class WarmState:
         with self._compile_lock:
             compiled = self._compiled.get(key)
             if compiled is not None:
+                self._compiled.move_to_end(key)
                 self.compile_hits += 1
                 return compiled
         from repro.gmql.lang import compile_program, optimize
 
         compiled = optimize(compile_program(program, datasets=self.sources))
         with self._compile_lock:
-            self._compiled.setdefault(key, compiled)
+            compiled = self._compiled.setdefault(key, compiled)
+            self._compiled.move_to_end(key)
             self.compile_misses += 1
-            return self._compiled[key]
+            while len(self._compiled) > COMPILED_PROGRAMS_MAX:
+                self._compiled.popitem(last=False)
+                self.compile_evictions += 1
+            return compiled
 
     # -- shared worker pool ------------------------------------------------------
 
@@ -137,8 +153,9 @@ class WarmState:
             if self._pool is None:
                 from repro.engine.parallel import default_workers
 
+                self._pool_workers = self.workers or default_workers()
                 self._pool = ProcessPoolExecutor(
-                    max_workers=self.workers or default_workers()
+                    max_workers=self._pool_workers
                 )
             return self._pool
 
@@ -190,9 +207,8 @@ class WarmState:
             "compiled_programs": len(self._compiled),
             "compile_hits": self.compile_hits,
             "compile_misses": self.compile_misses,
-            "pool_workers": (
-                self._pool._max_workers if self._pool is not None else 0
-            ),
+            "compile_evictions": self.compile_evictions,
+            "pool_workers": self._pool_workers,
         }
 
     def close(self) -> None:
@@ -201,3 +217,4 @@ class WarmState:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
+                self._pool_workers = 0

@@ -47,9 +47,12 @@ from repro.store.columnar import (
     SampleBlocks,
     ZoneEntry,
     ZoneMap,
+    count_morsels,
     count_overlaps_blocks,
     depth_segments,
+    live_block_pairs,
     occupied_bins,
+    overlap_counts,
     point_feature_adjustment,
     reset_store_counters,
     store_counters,
@@ -59,6 +62,7 @@ from repro.store.cover_kernels import (
     chrom_cover_rows,
     coverage_runs,
     flat_extents,
+    group_cover_parts,
     group_cover_rows,
     mask_chrom_events,
     multiset_subtract,
@@ -96,7 +100,6 @@ from repro.store.shm import (
     materialise,
     segment_exists,
     shared_memory_available,
-    shm_enabled,
 )
 
 __all__ = [
@@ -112,19 +115,23 @@ __all__ = [
     "block_cover_columns",
     "cache_capacity_from_env",
     "chrom_cover_rows",
+    "count_morsels",
     "count_overlaps_blocks",
     "coverage_runs",
     "depth_segments",
     "expand_windows",
     "flat_extents",
+    "group_cover_parts",
     "group_cover_rows",
     "group_offsets",
     "join_pairs",
+    "live_block_pairs",
     "mask_chrom_events",
     "materialise",
     "multiset_subtract",
     "occupied_bins",
     "overlap_any_mask",
+    "overlap_counts",
     "overlap_pairs",
     "profile_cover",
     "profile_histogram",
@@ -151,7 +158,6 @@ __all__ = [
     "segment_median_positions",
     "segment_reduce",
     "shared_memory_available",
-    "shm_enabled",
     "sweep_profile",
     "wide_sorted_events",
 ]

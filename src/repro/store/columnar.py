@@ -11,9 +11,10 @@ touching a single region.
 
 The layer is storage-only: it never interprets operator semantics.
 Engines ask a :class:`DatasetStore` (memoised on the dataset, see
-:meth:`repro.gdm.dataset.Dataset.store`) for blocks and zone maps and do
-their own pruning arithmetic; :func:`count_overlaps_blocks` is the one
-shared kernel because MAP-with-COUNT and DIFFERENCE both reduce to it.
+:meth:`repro.gdm.dataset.Dataset.store`) for blocks and zone maps;
+the zone-window test every pairwise operator shares lives here as
+:func:`live_block_pairs`, and :func:`count_morsels` adds the bin-level
+pruning only the counting identity can use.
 """
 
 from __future__ import annotations
@@ -381,36 +382,74 @@ def point_feature_adjustment(
     return extra
 
 
-def count_overlaps_blocks(
+def overlap_counts(
+    ref_starts: np.ndarray,
+    ref_stops: np.ndarray,
+    probe_sorted_starts: np.ndarray,
+    probe_sorted_stops: np.ndarray,
+    probe_zero_positions: np.ndarray,
+) -> np.ndarray:
+    """Per-reference overlap counts against one chromosome's probes.
+
+    The searchsorted counting identity: ``|probes starting before
+    ref.stop| - |probes ending at-or-before ref.start|``, repaired for
+    point references by :func:`point_feature_adjustment`.
+    """
+    started = np.searchsorted(probe_sorted_starts, ref_stops, side="left")
+    ended = np.searchsorted(probe_sorted_stops, ref_starts, side="right")
+    return started - ended + point_feature_adjustment(
+        probe_zero_positions, ref_starts, ref_stops
+    )
+
+
+def live_block_pairs(
+    left: SampleBlocks, right: SampleBlocks, margin: int | None = 0
+) -> tuple:
+    """Chromosome block pairs the zone maps cannot rule out.
+
+    Returns ``(pairs, pruned)``: one ``(left_block, right_block)`` per
+    chromosome both sides hold whose *left* extent, widened by *margin*
+    on each side, meets the *right* extent; *pruned* counts the
+    left-side partitions skipped.  ``margin=None`` (a join with no
+    distance bound) keeps every shared chromosome.
+    """
+    pairs = []
+    pruned = 0
+    for chrom, block in left.chroms.items():
+        entry = left.zone_map.entry(chrom)
+        other = right.zone_map.entry(chrom)
+        if other is None or (
+            margin is not None
+            and not other.window_overlaps(
+                entry.min_start - margin, entry.max_stop + margin
+            )
+        ):
+            pruned += entry.partitions
+            continue
+        pairs.append((block, right.chroms[chrom]))
+    return pairs, pruned
+
+
+def count_morsels(
     ref_blocks: SampleBlocks, probe_blocks: SampleBlocks
 ) -> tuple:
-    """Per-reference overlap counts with zone-map pruning.
+    """Plan :func:`overlap_counts` calls for one sample pair.
 
-    Returns ``(counts, partitions_pruned)``: *counts* is aligned with the
-    reference sample's region order; *partitions_pruned* counts the
-    (chromosome, bin) partitions of the reference side that the probe
-    zone map proved empty, so the kernel never touched them.
-
-    The counting identity is the searchsorted trick shared with the
-    columnar engine: ``|probes starting before ref.stop| - |probes
-    ending at-or-before ref.start|``.
+    Returns ``(morsels, partitions_pruned)``: one ``(index, arrays)``
+    per reference chromosome the probe zone map cannot rule out --
+    *index* the reference sample positions the counts belong to,
+    *arrays* the :func:`overlap_counts` arguments -- and the number of
+    (chromosome, bin) partitions of the reference side the probe zone
+    map proved empty, so no kernel ever touches them.
     """
-    counts = np.zeros(ref_blocks.n_regions, dtype=np.int64)
-    pruned = 0
+    morsels = []
+    block_pairs, pruned = live_block_pairs(ref_blocks, probe_blocks)
     bin_size = probe_blocks.zone_map.bin_size
-    for chrom, block in ref_blocks.chroms.items():
-        ref_entry = ref_blocks.zone_map.entry(chrom)
-        probe_entry = probe_blocks.zone_map.entry(chrom)
-        if probe_entry is None or not ref_entry.window_overlaps(
-            probe_entry.min_start, probe_entry.max_stop
-        ):
-            pruned += ref_entry.partitions
-            continue
-        probe_block = probe_blocks.chroms[chrom]
+    for block, probe_block in block_pairs:
+        ref_bins = ref_blocks.zone_map.entry(block.chrom).bins
+        probe_bins = probe_blocks.zone_map.entry(block.chrom).bins
         starts, stops, index = block.starts, block.stops, block.index
-        dead = np.setdiff1d(
-            ref_entry.bins, probe_entry.bins, assume_unique=True
-        )
+        dead = np.setdiff1d(ref_bins, probe_bins, assume_unique=True)
         if dead.size:
             pruned += int(dead.size)
             # A reference can only overlap a probe when some occupied
@@ -418,22 +457,33 @@ def count_overlaps_blocks(
             lo_bins = starts // bin_size
             hi_bins = np.maximum(stops - 1, starts) // bin_size
             occupied = np.searchsorted(
-                probe_entry.bins, hi_bins, side="right"
-            ) - np.searchsorted(probe_entry.bins, lo_bins, side="left")
+                probe_bins, hi_bins, side="right"
+            ) - np.searchsorted(probe_bins, lo_bins, side="left")
             live = occupied > 0
             if not live.all():
                 starts, stops, index = starts[live], stops[live], index[live]
         if index.size == 0:
             continue
-        started = np.searchsorted(
-            probe_block.sorted_starts, stops, side="left"
-        )
-        ended = np.searchsorted(
-            probe_block.sorted_stops, starts, side="right"
-        )
-        counts[index] = started - ended + point_feature_adjustment(
-            probe_block.zero_positions, starts, stops
-        )
+        morsels.append((index, (
+            starts, stops, probe_block.sorted_starts,
+            probe_block.sorted_stops, probe_block.zero_positions,
+        )))
+    return morsels, pruned
+
+
+def count_overlaps_blocks(
+    ref_blocks: SampleBlocks, probe_blocks: SampleBlocks
+) -> tuple:
+    """Per-reference overlap counts with zone-map pruning.
+
+    Returns ``(counts, partitions_pruned)``: *counts* is aligned with the
+    reference sample's region order; see :func:`count_morsels` for what
+    is pruned.
+    """
+    counts = np.zeros(ref_blocks.n_regions, dtype=np.int64)
+    morsels, pruned = count_morsels(ref_blocks, probe_blocks)
+    for index, arrays in morsels:
+        counts[index] = overlap_counts(*arrays)
     return counts, pruned
 
 

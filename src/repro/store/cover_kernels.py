@@ -375,17 +375,16 @@ def prune_dead_bins(parts: list, lo: int, bin_size: int, variant: str
     return out, pruned
 
 
-def group_cover_rows(blocks_list: list, lo: int, hi: int, variant: str,
-                     bin_size: int | None = None, on_pruned=None):
-    """Yield ``(chrom, lefts, rights, depths)`` for one COVER group.
+def group_cover_parts(blocks_list: list, lo: int, variant: str,
+                      bin_size: int | None = None, on_pruned=None):
+    """Yield ``(chrom, parts)`` for one COVER group, in genome order.
 
     *blocks_list* holds each contributing sample's
-    :class:`~repro.store.columnar.SampleBlocks`; chromosomes come out
-    in genome order, chromosomes with no qualifying rows are skipped
-    (matching the naive iterators).
+    :class:`~repro.store.columnar.SampleBlocks`; *parts* is what
+    :func:`chrom_cover_rows` sweeps for that chromosome.
 
     With a *bin_size* and a lower threshold of at least 2, dead zone-map
-    bins are pruned from each chromosome's sweep first
+    bins are pruned from each chromosome's parts first
     (:func:`prune_dead_bins`); *on_pruned* is called with the count of
     occupied bins eliminated.
     """
@@ -404,6 +403,20 @@ def group_cover_rows(blocks_list: list, lo: int, hi: int, variant: str,
             parts, pruned = prune_dead_bins(parts, lo, bin_size, variant)
             if pruned and on_pruned is not None:
                 on_pruned(pruned)
+        yield chrom, parts
+
+
+def group_cover_rows(blocks_list: list, lo: int, hi: int, variant: str,
+                     bin_size: int | None = None, on_pruned=None):
+    """Yield ``(chrom, lefts, rights, depths)`` for one COVER group.
+
+    :func:`group_cover_parts` swept chromosome by chromosome;
+    chromosomes with no qualifying rows are skipped (matching the naive
+    iterators).
+    """
+    for chrom, parts in group_cover_parts(
+        blocks_list, lo, variant, bin_size=bin_size, on_pruned=on_pruned
+    ):
         lefts, rights, row_depths = chrom_cover_rows(
             parts, lo, hi, variant
         )

@@ -16,10 +16,11 @@ The protocol is deliberately tiny:
   immutable file, so nothing is copied at all), else
   ``("shm", name, shape, dtype)`` backed by a segment the shipper
   created, or ``("raw", array)`` when shipping falls back to pickle
-  (shared memory unavailable, disabled via ``REPRO_SHM=0`` / engine
-  config, or the array is too small to be worth a segment).  Handles
-  are memoised per array object, so the same experiment block shipped
-  to forty morsels costs one segment.
+  (shared memory unavailable or exhausted, or the array is too small
+  to be worth a segment).  Which of the three an array gets is decided
+  from what the shipper observes, never from a setting.  Handles are
+  memoised per array object, so the same experiment block shipped to
+  forty morsels costs one segment.
 * **workers** call :func:`materialise` on the handle list, compute over
   the returned views, and invoke the release callback before returning.
   Attached segments are closed but never unlinked by workers (on Python
@@ -40,9 +41,6 @@ objects (``benchmarks/lint_repo.py`` enforces the ban elsewhere).
 
 from __future__ import annotations
 
-import os
-from typing import Any
-
 import numpy as np
 
 # Arrays below this many bytes ride the pickle anyway: a segment costs a
@@ -60,34 +58,20 @@ def shared_memory_available() -> bool:
     return True
 
 
-def shm_enabled(config_flag: Any = None) -> bool:
-    """Resolve the shared-memory gate: config flag, then environment.
-
-    ``REPRO_SHM=0`` force-disables shipping regardless of config; a
-    *config_flag* of ``False`` (engine config ``use_shm``) does the same.
-    """
-    if shm_disabled_from_env():
-        return False
-    if config_flag is not None and not config_flag:
-        return False
-    return shared_memory_available()
-
-
-def shm_disabled_from_env() -> bool:
-    """Whether ``REPRO_SHM=0`` force-disables shared-memory shipping."""
-    return os.environ.get("REPRO_SHM", "").strip() == "0"
-
-
 class ArrayShipper:
     """Parent-side owner of shared-memory segments for numpy arrays.
 
     Create one per parallel backend, ``ship()`` arrays into task
     payloads, and ``close()`` when the backend closes -- segments live
-    exactly as long as the pool that reads them.
+    exactly as long as the pool that reads them.  *enabled* defaults to
+    whether shared memory is usable here; ``enabled=False`` is the test
+    seam for the pickle fallback.
     """
 
     def __init__(self, enabled: bool | None = None) -> None:
-        self.enabled = shm_enabled() if enabled is None else bool(enabled)
+        self.enabled = (
+            shared_memory_available() if enabled is None else bool(enabled)
+        )
         self._segments: list = []
         self._memo: dict = {}
         self.bytes_shared = 0
@@ -107,7 +91,7 @@ class ArrayShipper:
     def _ship_uncached(self, array: np.ndarray) -> tuple:
         if array.nbytes:
             # Disk-resident arrays ship as ``(path, offset, shape,
-            # dtype)`` descriptors regardless of the shm gate: the file
+            # dtype)`` descriptors whether or not segments work: the file
             # is immutable and already on disk, so the handle costs
             # nothing and the worker's page cache attach is free.
             from repro.store.persist import mmap_descriptor

@@ -1,0 +1,169 @@
+"""One differential over *executors*: same operators, different hosts.
+
+The columnar operator library plans every MAP, JOIN, COVER-family and
+DIFFERENCE in the calling process and hands the per-chromosome array
+work to an executor.  Each executor below must reproduce the naive
+oracle exactly -- same regions, same attribute values (compared through
+``repr``, so ``-0.0``, ``1`` vs ``1.0`` and NaN are all distinguished),
+same metadata, same order:
+
+* ``columnar`` -- pieces run inline;
+* ``parallel/segments`` -- pieces run on a process pool, every array
+  shipped through a shared-memory segment (``MIN_SHARED_BYTES`` forced
+  to 0, so even hypothesis-sized blocks get one);
+* ``parallel/pickle`` -- the same pool behind
+  ``ArrayShipper(enabled=False)``, every array pickled;
+* ``sharded`` -- chromosome-group shards merged by ``merge_partials``.
+
+Programs and input strategies are those of
+``test_join_map_differential.py`` (every genometric clause shape, every
+registered aggregate, zone-grid-straddling and zero-length intervals)
+plus the accumulation family and DIFFERENCE.  This file replaces the
+store-on/off property of ``test_store_equivalence.py`` and the
+``use_shm`` arms of the join/map and float-aggregate suites: the paths
+those compared against no longer exist.
+"""
+
+import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from repro.engine import parallel as parallel_mod
+from repro.engine.base import Backend
+from repro.engine.columnar import ColumnarBackend
+from repro.engine.context import ExecutionContext
+from repro.engine.dispatch import get_backend
+from repro.engine.parallel import ParallelBackend
+from repro.gmql.lang import Interpreter, compile_program, optimize
+from repro.store import shm as shm_mod
+from repro.store.shm import ArrayShipper
+
+from tests.engine.test_float_aggregates import bitwise
+from tests.engine.test_join_map_differential import (
+    BIN,
+    JOIN_PROGRAM,
+    MAP_PROGRAM,
+    _SPECS,
+    make_dataset,
+)
+
+SWEEP_PROGRAM = """
+A = SELECT(side == 'left') DATA;
+B = SELECT(side == 'right') DATA;
+C1 = COVER(1, ANY) DATA; MATERIALIZE C1;
+C2 = COVER(2, ANY) DATA; MATERIALIZE C2;
+F = FLAT(1, 2) DATA; MATERIALIZE F;
+S = SUMMIT(1, ANY) DATA; MATERIALIZE S;
+H = HISTOGRAM(1, ANY) DATA; MATERIALIZE H;
+D = DIFFERENCE() A B; MATERIALIZE D;
+"""
+
+PROGRAMS = (JOIN_PROGRAM, MAP_PROGRAM, SWEEP_PROGRAM)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolExecutor(max_workers=2) as executor:
+        yield executor
+
+
+@pytest.fixture
+def executors(pool, monkeypatch):
+    """``{label: backend factory}``; parallel backends borrow *pool*, so
+    closing one after an example unlinks its segments and keeps the
+    workers."""
+    monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
+
+    def pickling():
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                parallel_mod, "ArrayShipper",
+                partial(ArrayShipper, enabled=False),
+            )
+            backend = ParallelBackend(pool=pool)
+            backend.shipper()
+        return backend
+
+    return {
+        "columnar": partial(get_backend, "columnar"),
+        "parallel/segments": partial(ParallelBackend, pool=pool),
+        "parallel/pickle": pickling,
+        "sharded": partial(get_backend, "sharded"),
+    }
+
+
+def check_all_executors(dataset, executors) -> dict:
+    """Run every program on every executor; returns the parallel
+    backends' summed ``shm.*`` counters."""
+    sources = {"DATA": dataset}
+    shipped = {"parallel/segments": {}, "parallel/pickle": {}}
+    for program in PROGRAMS:
+        compiled = optimize(compile_program(program, datasets=sources))
+
+        def run(backend):
+            context = ExecutionContext(bin_size=BIN, result_cache=False)
+            try:
+                results = Interpreter(
+                    backend, sources, context=context
+                ).run_program(compiled)
+            finally:
+                backend.close()
+            return bitwise(results), context.metrics.snapshot()
+
+        expected, __ = run(get_backend("naive"))
+        for label, factory in executors.items():
+            got, metrics = run(factory())
+            assert got == expected, label
+            if label in shipped:
+                for name in ("shm.bytes_shared", "shm.bytes_pickled"):
+                    shipped[label][name] = (
+                        shipped[label].get(name, 0) + metrics.get(name, 0)
+                    )
+    return shipped
+
+
+@given(_SPECS, _SPECS)
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_executor_matches_naive(executors, left_spec, right_spec):
+    check_all_executors(make_dataset(left_spec, right_spec), executors)
+
+
+def test_fixed_adversarial_dataset_and_shipping_modes(executors):
+    """A few hundred regions packed with the edge cases (repeated
+    coincident zero-length points make MD ties real), and proof that
+    the two parallel arms really shipped differently."""
+    rng = random.Random(11)
+    left, right = [], []
+    for spec in (left, right):
+        for __ in range(120):
+            chrom = rng.choice(["chr1", "chr2"])
+            pos = rng.choice(
+                [rng.randint(0, 6 * BIN), 0, BIN - 1, BIN, BIN + 1, 2 * BIN]
+            )
+            width = rng.choice([0, 1, BIN, 2 * BIN, rng.randint(0, 3 * BIN)])
+            strand = rng.choice(["+", "-", "*"])
+            spec.append((chrom, pos, width, strand, rng.randint(-20, 20)))
+        spec.extend(("chr1", 2 * BIN, 0, "*", 5) for __ in range(3))
+    shipped = check_all_executors(make_dataset(left, right), executors)
+    assert shipped["parallel/segments"]["shm.bytes_shared"] > 0
+    assert shipped["parallel/pickle"]["shm.bytes_shared"] == 0
+    assert shipped["parallel/pickle"]["shm.bytes_pickled"] > 0
+
+
+def test_parallel_backend_is_only_an_executor():
+    """``parallel`` re-hosts the columnar operators; it encodes none."""
+    own = [name for name in vars(ParallelBackend) if name.startswith("run_")]
+    assert own == []
+    assert "submit_kernel" in vars(ParallelBackend)
+    operators = [name for name in vars(Backend) if name.startswith("run_")]
+    assert operators
+    for name in operators:
+        assert getattr(ParallelBackend, name) is getattr(
+            ColumnarBackend, name
+        )

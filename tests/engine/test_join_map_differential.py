@@ -4,16 +4,16 @@ The naive backend is the semantics oracle.  Every genometric condition
 shape (DLE -- including the touching ``DLE(0)`` and overlap-only
 ``DLE(-1)`` forms -- DGE, MD(k), UP, DOWN and combinations) and every
 registered MAP aggregate must produce *identical* results on the
-columnar, auto and parallel backends: same regions, same attribute
-values, same metadata, same order.
+columnar and auto backends: same regions, same attribute values, same
+metadata, same order.  ``test_executor_differential.py`` runs the same
+programs on every other executor (``parallel`` with segment and pickle
+shipping, ``sharded``).
 
 Inputs are hypothesis-generated with the usual nasties baked into the
 strategies: strandless regions under strand-aware UP/DOWN, zero-length
 regions, coincident points, and intervals straddling the BIN=64
 zone-map grid.
 """
-
-import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,12 +119,8 @@ def make_dataset(left_spec, right_spec) -> Dataset:
     return Dataset("DATA", schema, samples, validate=False)
 
 
-def run(program, dataset, engine, use_shm=True):
-    context = ExecutionContext(
-        bin_size=BIN,
-        result_cache=False,
-        config={"use_store": True, "use_shm": use_shm},
-    )
+def run(program, dataset, engine):
+    context = ExecutionContext(bin_size=BIN, result_cache=False)
     return execute(program, {"DATA": dataset}, engine=engine,
                    context=context)
 
@@ -163,45 +159,3 @@ class TestMapDifferential:
         expected = canonical(run(MAP_PROGRAM, dataset, "naive"))
         assert canonical(run(MAP_PROGRAM, dataset, "columnar")) == expected
         assert canonical(run(MAP_PROGRAM, dataset, "auto")) == expected
-
-
-def _nasty_dataset(seed: int = 11, n: int = 120) -> Dataset:
-    """Deterministic dataset packed with the edge cases above, big
-    enough that the parallel backend ships real morsels."""
-    rng = random.Random(seed)
-    left, right = [], []
-    for spec in (left, right):
-        for __ in range(n):
-            chrom = rng.choice(["chr1", "chr2"])
-            pos = rng.choice(
-                [rng.randint(0, 6 * BIN), 0, BIN - 1, BIN, BIN + 1, 2 * BIN]
-            )
-            width = rng.choice([0, 1, BIN, 2 * BIN, rng.randint(0, 3 * BIN)])
-            strand = rng.choice(["+", "-", "*"])
-            spec.append((chrom, pos, width, strand, rng.randint(-20, 20)))
-        # Coincident zero-length points, repeated so MD ties are real.
-        spec.extend(
-            ("chr1", 2 * BIN, 0, "*", 5) for __ in range(3)
-        )
-    return make_dataset(left, right)
-
-
-class TestParallelDifferential:
-    """The parallel backend forks a pool per run, so it gets one fixed
-    adversarial dataset instead of a hypothesis loop."""
-
-    def test_join_matches_naive(self):
-        dataset = _nasty_dataset()
-        expected = canonical(run(JOIN_PROGRAM, dataset, "naive"))
-        assert canonical(run(JOIN_PROGRAM, dataset, "parallel")) == expected
-        assert canonical(
-            run(JOIN_PROGRAM, dataset, "parallel", use_shm=False)
-        ) == expected
-
-    def test_map_matches_naive(self):
-        dataset = _nasty_dataset(seed=12)
-        expected = canonical(run(MAP_PROGRAM, dataset, "naive"))
-        assert canonical(run(MAP_PROGRAM, dataset, "parallel")) == expected
-        assert canonical(
-            run(MAP_PROGRAM, dataset, "parallel", use_shm=False)
-        ) == expected

@@ -86,7 +86,7 @@ def make_dataset(left_spec, right_spec):
 
 
 def run(dataset, engine):
-    context = ExecutionContext(bin_size=BIN, config={"use_store": True})
+    context = ExecutionContext(bin_size=BIN)
     results = execute(PROGRAM, {"DATA": dataset}, engine=engine,
                       context=context)
     return results

@@ -136,6 +136,31 @@ class TestDataset:
         assert summary["regions"] == 1
         assert summary["schema"] == ["score"]
 
+    def test_summary_walks_regions_once_until_a_sample_is_added(self, schema):
+        class CountingList(list):
+            walks = 0
+
+            def __iter__(self):
+                CountingList.walks += 1
+                return super().__iter__()
+
+        sample = Sample(1, [region("chr1", 0, 5, "*", 1.0),
+                            region("chr2", 0, 5, "*", 2.0)])
+        sample.regions = CountingList(sample.regions)
+        ds = Dataset("D", schema, [sample], validate=False)
+        first = ds.summary()
+        assert CountingList.walks == 1
+        assert first["shards"]["chroms"] == {"chr1": [1, 1, 44],
+                                             "chr2": [1, 1, 44]}
+        # A caller editing its copy must not poison the memo.
+        first["shards"]["chroms"]["chr1"][1] = 99
+        assert ds.summary() == {**first, "shards": ds.shard_summary()}
+        assert ds.shard_summary()["chroms"]["chr1"] == [1, 1, 44]
+        assert CountingList.walks == 1
+        ds.add_sample(Sample(2, [region("chr1", 7, 9, "*", 3.0)]))
+        assert ds.summary()["shards"]["chroms"]["chr1"] == [2, 2, 88]
+        assert CountingList.walks == 2
+
     def test_validate_false_skips_coercion(self):
         schema = RegionSchema.of(("n", INT))
         sample = Sample(1, [region("chr1", 0, 5, "*", "7")])

@@ -1,0 +1,40 @@
+"""WarmState bounds: the compiled-program LRU and the pool-size report."""
+
+from repro.serve import state as state_mod
+from repro.serve.state import WarmState
+
+from tests.serve.util import make_sources
+
+
+def _program(i: int) -> str:
+    return f"OUT = JOIN(DLE({100 + i}); output: LEFT) REF EXP; MATERIALIZE OUT;"
+
+
+def test_compiled_cache_is_bounded_and_keeps_recently_hit(monkeypatch):
+    monkeypatch.setattr(state_mod, "COMPILED_PROGRAMS_MAX", 3)
+    state = WarmState(make_sources(), engine="columnar")
+    hot = state.compile(_program(0))
+    for i in range(1, 6):
+        # The hot program is hit between every two one-off programs, so
+        # it is never the least recently used entry.
+        assert state.compile(_program(0)) is hot
+        state.compile(_program(i))
+    stats = state.stats()
+    assert stats["compiled_programs"] == 3
+    assert stats["compile_evictions"] == 3
+    assert stats["compile_misses"] == 6
+    assert state.compile(_program(0)) is hot
+    # The oldest one-off was evicted: asking again is a miss.
+    state.compile(_program(1))
+    assert state.stats()["compile_misses"] == 7
+
+
+def test_pool_workers_reports_the_created_size():
+    state = WarmState(make_sources(), engine="parallel", workers=2)
+    try:
+        assert state.stats()["pool_workers"] == 0
+        state.shared_pool()
+        assert state.stats()["pool_workers"] == 2
+    finally:
+        state.close()
+    assert state.stats()["pool_workers"] == 0

@@ -1,10 +1,14 @@
 """Lifecycle tests for the shared-memory block protocol.
 
 Covers the :class:`ArrayShipper` handle protocol (segment vs raw
-fallback, memoisation, byte accounting), the ``REPRO_SHM`` / config
-gates, and -- the part that matters operationally -- that segments are
-unlinked when the owning backend closes, including when a pool task
-raises mid-flight.
+fallback, memoisation, byte accounting, the ``enabled=False`` seam) and
+-- the part that matters operationally -- that segments are unlinked
+when the owning backend closes, including when a pool task raises
+mid-flight.
+
+The ``REPRO_SHM`` / ``use_shm`` gate tests went with the gates; that the
+pickle fallback still computes the same results is covered by the
+``parallel/pickle`` arm of ``tests/engine/test_executor_differential.py``.
 
 Note: these tests never construct ``SharedMemory`` directly
 (``benchmarks/lint_repo.py`` bans that outside ``repro.store.shm``);
@@ -12,40 +16,20 @@ existence checks go through :func:`segment_exists`.
 """
 
 import random
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.engine import columnar as columnar_mod
 from repro.engine import parallel as parallel_mod
 from repro.engine.context import ExecutionContext
 from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
 from repro.gmql.lang import execute
 from repro.store import shm as shm_mod
-from repro.store.shm import (
-    ArrayShipper,
-    materialise,
-    segment_exists,
-    shm_enabled,
-)
+from repro.store.shm import ArrayShipper, materialise, segment_exists
 
 BIG = np.arange(4096, dtype=np.int64)  # comfortably over MIN_SHARED_BYTES
-
-
-class TestShmEnabled:
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled()
-        assert not shm_enabled(True)
-
-    def test_config_flag(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHM", raising=False)
-        assert not shm_enabled(False)
-        assert shm_enabled(True)
-        assert shm_enabled(None)
-
-    def test_env_beats_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        assert not shm_enabled(True)
 
 
 class TestArrayShipper:
@@ -120,12 +104,8 @@ def _seed_dataset(seed: int = 7, n_regions: int = 400) -> Dataset:
     return Dataset("DATA", schema, samples)
 
 
-def _crashing_task(handles):
-    arrays, release = materialise(handles)
-    try:
-        raise RuntimeError("worker crash injected by test")
-    finally:
-        release()
+def _crashing_kernel(*arrays):
+    raise RuntimeError("worker crash injected by test")
 
 
 class TestBackendLifecycle:
@@ -144,7 +124,10 @@ class TestBackendLifecycle:
                 super().close()
 
         monkeypatch.setattr(parallel_mod, "ArrayShipper", RecordingShipper)
-        monkeypatch.setattr(parallel_mod, "_count_morsel_task", _crashing_task)
+        # MAP() hands every chromosome to the counting kernel; the
+        # pool pickles the replacement by reference, so it is this
+        # function that raises inside the worker.
+        monkeypatch.setattr(columnar_mod, "overlap_counts", _crashing_kernel)
         # Ship everything regardless of size so the smoke-scale dataset
         # exercises real segments.
         monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
@@ -155,9 +138,7 @@ class TestBackendLifecycle:
                 "R = MAP() DATA DATA; MATERIALIZE R;",
                 {"DATA": dataset},
                 engine="parallel",
-                context=ExecutionContext(
-                    result_cache=False, config={"use_store": True}
-                ),
+                context=ExecutionContext(result_cache=False),
             )
         assert unlinked_names, "crash path never created shm segments"
         assert not any(segment_exists(name) for name in unlinked_names)
@@ -178,19 +159,18 @@ class TestBackendLifecycle:
             "R = MAP() DATA DATA; MATERIALIZE R;",
             {"DATA": dataset},
             engine="parallel",
-            context=ExecutionContext(
-                result_cache=False, config={"use_store": True}
-            ),
+            context=ExecutionContext(result_cache=False),
         )
         assert results["R"].region_count() > 0
         assert unlinked_names
         assert not any(segment_exists(name) for name in unlinked_names)
 
-    def test_use_shm_config_false_pickles_everything(self, monkeypatch):
+    def test_disabled_shipper_pickles_everything(self, monkeypatch):
         monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
-        context = ExecutionContext(
-            result_cache=False, config={"use_store": True, "use_shm": False}
+        monkeypatch.setattr(
+            parallel_mod, "ArrayShipper", partial(ArrayShipper, enabled=False)
         )
+        context = ExecutionContext(result_cache=False)
         dataset = _seed_dataset()
         execute(
             "R = MAP() DATA DATA; MATERIALIZE R;",

@@ -1,13 +1,17 @@
-"""Differential properties: the store, pruning and cache never change results.
+"""Differential properties: pruning and the cache never change results.
 
-Three invariants, checked over hypothesis-generated datasets seeded with
+Two invariants, checked over hypothesis-generated datasets seeded with
 bin-boundary nasties (zero-length regions, regions ending exactly on a
 bin edge, bin-spanning regions):
 
-* store on vs store off (``use_store`` config) -- byte-identical on
-  every engine that consults the store;
 * cached vs cold-cache runs -- byte-identical, names included;
 * every engine agrees with the naive reference.
+
+The store-on vs store-off property that used to live here went with the
+store-off path.  What it guarded -- zone-map and dead-bin pruning never
+changing a result -- is checked against the unpruned naive oracle by
+``test_columnar_and_auto_match_naive`` below and, for every executor, by
+``tests/engine/test_executor_differential.py``.
 """
 
 from hypothesis import given, settings
@@ -62,12 +66,8 @@ def make_dataset(left_spec, right_spec):
     return Dataset("DATA", RegionSchema.empty(), samples, validate=False)
 
 
-def run(dataset, engine, use_store=True, result_cache=False, bin_size=BIN):
-    context = ExecutionContext(
-        bin_size=bin_size,
-        result_cache=result_cache,
-        config={"use_store": use_store},
-    )
+def run(dataset, engine, result_cache=False, bin_size=BIN):
+    context = ExecutionContext(bin_size=bin_size, result_cache=result_cache)
     results = execute(PROGRAM, {"DATA": dataset}, engine=engine,
                       context=context)
     return results, context
@@ -78,20 +78,6 @@ def rows(results):
         name: (dataset.name, list(dataset.region_rows()))
         for name, dataset in results.items()
     }
-
-
-@given(
-    st.lists(_INTERVALS, min_size=1, max_size=12),
-    st.lists(_INTERVALS, min_size=1, max_size=12),
-)
-@settings(max_examples=40, deadline=None)
-def test_pruned_matches_unpruned_on_columnar(left_spec, right_spec):
-    dataset = make_dataset(left_spec, right_spec)
-    with_store, context = run(dataset, "columnar", use_store=True)
-    without_store, __ = run(
-        make_dataset(left_spec, right_spec), "columnar", use_store=False
-    )
-    assert rows(with_store) == rows(without_store)
 
 
 @given(
@@ -123,8 +109,9 @@ def test_cached_matches_cold(left_spec, right_spec, engine):
 
 
 def test_parallel_matches_naive_on_boundary_cases():
-    # Process pools are too slow for hypothesis; one hand-built dataset
-    # packed with edge cases covers the shipped-array kernels.
+    # One hand-built dataset packed with edge cases through the plain
+    # ``engine="parallel"`` entry point (own pool, default shipper); the
+    # hypothesis sweep over executors is test_executor_differential.py.
     left = [
         ("chr1", 0, BIN),           # ends exactly on the first bin edge
         ("chr1", BIN, 0),           # zero-length on a bin edge
@@ -141,13 +128,11 @@ def test_parallel_matches_naive_on_boundary_cases():
     reference = rows(run(dataset, "naive")[0])
     parallel, context = run(dataset, "parallel")
     assert rows(parallel) == reference
-    parallel_nostore, __ = run(dataset, "parallel", use_store=False)
-    assert rows(parallel_nostore) == reference
 
 
 def test_pruning_fires_on_disjoint_chromosomes():
     left = [("chr1", 0, 40), ("chr2", 0, 40)]
     right = [("chr1", 10, 10)]
     dataset = make_dataset(left, right)
-    __, context = run(dataset, "columnar", use_store=True)
+    __, context = run(dataset, "columnar")
     assert context.metrics.counter("store.partitions_pruned") > 0
