@@ -22,12 +22,15 @@ RL006     file does not parse
 RL007     ``time.sleep``/``time.monotonic``/``time.perf_counter``
           outside ``resilience/clock.py``
 RL008     ``os.environ`` read outside a ``*_from_env`` function
+RL009     in-place mutation of a ``.regions`` list under ``src``
 ========  =======================================================
 
 Checked trees: ``src``, ``tests``, ``benchmarks``.  The golden corpus
 of *intentionally* violating snippets under ``tests/lint/snippets/`` is
-exempt (each snippet exists to trip exactly one rule, verified by
-``tests/lint/test_lint_rules.py``).
+exempt from the sweep (each snippet exists to trip exactly one rule,
+verified by ``tests/lint/test_lint_rules.py``).  A rule may also be
+scoped to some trees only (RL009: ``src`` -- and the corpus, so its
+snippet trips it).
 
 Exits nonzero listing ``path:line: RL0xx message`` for every violation.
 """
@@ -42,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_TREES = ("src", "tests", "benchmarks")
+SRC_DIR = ROOT / "src"
 SNIPPET_DIR = ROOT / "tests" / "lint" / "snippets"
 CLOCK_MODULE = ROOT / "src" / "repro" / "resilience" / "clock.py"
 SHM_MODULE = ROOT / "src" / "repro" / "store" / "shm.py"
@@ -54,6 +58,12 @@ WALL_CLOCK_CALLS = (
     ("datetime", "now"),
     ("datetime", "utcnow"),
 )
+
+#: ``list`` methods that mutate in place (RL009).
+LIST_MUTATORS = frozenset({
+    "append", "extend", "sort", "insert", "pop", "remove", "clear",
+    "reverse",
+})
 
 #: Monotonic/sleep reads that must route through the clock seam.
 CLOCK_SEAM_CALLS = (
@@ -183,14 +193,52 @@ def _check_environ(rel, node, enclosing):
         )
 
 
+def _is_regions(node) -> bool:
+    """``<anything>.regions``."""
+    return isinstance(node, ast.Attribute) and node.attr == "regions"
+
+
+def _check_region_mutation(rel, node, enclosing):
+    message = (
+        "in-place mutation of a .regions list -- region lists are shared "
+        "between samples and carry memoised blocks and columns; build a "
+        "new list instead"
+    )
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in LIST_MUTATORS
+        and _is_regions(node.func.value)
+    ):
+        yield (node.lineno, message)
+    elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
+        targets = (
+            node.targets if isinstance(node, (ast.Assign, ast.Delete))
+            else [node.target]
+        )
+        for target in targets:
+            if (
+                isinstance(target, ast.Subscript) and _is_regions(target.value)
+            ) or (isinstance(node, ast.AugAssign) and _is_regions(target)):
+                yield (node.lineno, message)
+
+
 @dataclass(frozen=True)
 class Rule:
-    """One table row: a stable code, a per-node checker, exemptions."""
+    """One table row: a stable code, a per-node checker, its scope."""
 
     code: str
     summary: str
     check: object  # callable(rel, node, enclosing) -> iterable
     exempt: tuple = ()  # absolute Paths the rule does not apply to
+    only_under: tuple = ()  # absolute directories it is limited to
+
+    def applies_to(self, path: Path) -> bool:
+        if path in self.exempt:
+            return False
+        return not self.only_under or any(
+            base in path.parents for base in self.only_under
+        )
 
 
 RULES: tuple = (
@@ -205,6 +253,8 @@ RULES: tuple = (
          _check_clock_seam, exempt=(CLOCK_MODULE,)),
     Rule("RL008", "os.environ read outside a *_from_env function",
          _check_environ),
+    Rule("RL009", "in-place mutation of a .regions list under src/",
+         _check_region_mutation, only_under=(SRC_DIR, SNIPPET_DIR)),
 )
 
 #: Codes handled outside the per-node table (parse + repo-level checks).
@@ -251,7 +301,7 @@ def check_file(path: Path, active: set, root: Path = ROOT) -> list:
         return []
     rules = [
         rule for rule in RULES
-        if rule.code in active and path not in rule.exempt
+        if rule.code in active and rule.applies_to(path)
     ]
     problems = []
     for node, enclosing in _walk_with_enclosing(tree):

@@ -36,9 +36,10 @@ rebuilding coordinate arrays from region objects on every operator:
   references, strict-interior counts for zero-length probes), pruning
   zone-disjoint partitions;
 * **SELECT** -- region predicates over fixed coordinates and numeric
-  variable attributes evaluate as boolean array expressions over
-  memoised column arrays, and conjunctive coordinate bounds prune whole
-  chromosomes via the zone map.
+  variable attributes evaluate as boolean array expressions over the
+  region list's memoised columns (:func:`repro.store.region_column`,
+  the same columns MAP aggregates read), and conjunctive coordinate
+  bounds prune whole chromosomes via the zone map.
 
 Array building lives in :mod:`repro.store` only.  Each operator plans
 in the calling process -- sample pairing, zone-map and dead-bin pruning,
@@ -82,6 +83,7 @@ from repro.store.columnar import (
     depth_segments,
     live_block_pairs,
     overlap_counts,
+    region_column,
 )
 from repro.store.cover_kernels import (
     chrom_cover_rows,
@@ -177,56 +179,33 @@ def _chrom_provably_empty(conjuncts: list, entry) -> bool:
     return False
 
 
-def _vectorise_predicate(predicate, schema, regions: list,
-                         column_cache: dict | None = None):
+def _vectorise_predicate(predicate, schema, regions: list):
     """Evaluate a region predicate as a boolean numpy array, or ``None``.
 
     Handles conjunction/disjunction/negation over comparisons on fixed
     coordinates and numeric variable attributes; anything else returns
     ``None`` and the caller falls back to per-region evaluation.
-
-    *column_cache* (usually a store block's ``column_cache``) memoises
-    the materialised attribute columns across operator invocations, so
-    repeated predicates over one sample never rebuild arrays.
+    Attribute columns come from :func:`repro.store.region_column`, so a
+    predicate over a resident region list reuses the arrays every earlier
+    predicate or MAP aggregate built from it.
     """
     if not regions:
         return np.zeros(0, dtype=bool)
 
-    columns: dict = column_cache if column_cache is not None else {}
-
     def column(name: str):
-        if name in columns:
-            return columns[name]
         if name in ("left", "start"):
-            values = np.fromiter((r.left for r in regions), dtype=np.int64,
-                                 count=len(regions))
-        elif name in ("right", "stop"):
-            values = np.fromiter((r.right for r in regions), dtype=np.int64,
-                                 count=len(regions))
-        elif name in ("chrom", "chr"):
-            values = np.array([r.chrom for r in regions])
-        elif name == "strand":
-            values = np.array([r.strand for r in regions])
-        elif name in schema:
-            index = schema.index_of(name)
-            attr_type = schema[name].type.name
-            if attr_type in ("INT", "FLOAT"):
-                values = np.array(
-                    [
-                        np.nan if r.values[index] is None else float(r.values[index])
-                        for r in regions
-                    ],
-                    dtype=np.float64,
-                )
-            else:
-                values = np.array(
-                    ["" if r.values[index] is None else str(r.values[index])
-                     for r in regions]
-                )
-        else:
+            return region_column(regions, "left").exact("INT")
+        if name in ("right", "stop"):
+            return region_column(regions, "right").exact("INT")
+        if name in ("chrom", "chr", "strand"):
+            field = "strand" if name == "strand" else "chrom"
+            return region_column(regions, field).strings()
+        if name not in schema:
             return None
-        columns[name] = values
-        return values
+        values = region_column(regions, schema.index_of(name))
+        if schema[name].type.name in ("INT", "FLOAT"):
+            return values.floats()
+        return values.strings()
 
     def walk(node):
         if isinstance(node, RegionAnd):
@@ -312,64 +291,6 @@ def resolve_map_aggregates(aggregates, reference: Dataset,
     return reference.schema.extend(*new_defs), resolved
 
 
-def experiment_columns(regions: list, resolved: list) -> dict:
-    """Materialise the experiment value columns the aggregates touch.
-
-    Returns ``{attr_index: (raw_list, numeric_array_or_None, cache)}``;
-    the numeric array exists only for clean INT/FLOAT columns (no
-    ``None``), which is the precondition of every vectorised reduction.
-    *cache* memoises per-column derivations (currently BAG's stringified
-    column) across sample pairs.
-    """
-    columns: dict = {}
-    for __, attr_index, type_name in resolved:
-        if attr_index is None or attr_index in columns:
-            continue
-        raw = [region.values[attr_index] for region in regions]
-        array = None
-        if type_name in ("INT", "FLOAT") and not any(
-            value is None for value in raw
-        ):
-            dtype = np.int64 if type_name == "INT" else np.float64
-            try:
-                array = np.asarray(raw, dtype=dtype)
-            except (OverflowError, ValueError):
-                array = None
-        columns[attr_index] = (raw, array, {})
-    return columns
-
-
-def _column_all_floats(raw: list, cache: dict) -> bool:
-    """Memoised "every value is a Python float" check for one column.
-
-    The exact-fsum reductions are proven bit-identical against the naive
-    ``math.fsum`` path only when the naive side sees floats too; a FLOAT
-    column carrying stray ints would make the naive aggregate return an
-    ``int`` where the kernel returns ``float``.
-    """
-    flag = cache.get("all_float")
-    if flag is None:
-        flag = all(isinstance(value, float) for value in raw)
-        cache["all_float"] = flag
-    return flag
-
-
-def _bag_strings(raw: list, cache: dict):
-    """Memoised stringified column for BAG, or ``None`` if unvectorisable.
-
-    numpy ``<U`` comparison orders by code point exactly like Python
-    ``str``, so a lexsort over this column reproduces the naive
-    ``sorted(set(...))``.  Columns with missing values keep the Python
-    path (BAG must filter them before stringifying).
-    """
-    if "bag_strings" not in cache:
-        if any(value is None for value in raw):
-            cache["bag_strings"] = None
-        else:
-            cache["bag_strings"] = np.array([str(value) for value in raw])
-    return cache["bag_strings"]
-
-
 def aggregate_segments(
     aggregate, type_name, column, e_rows: np.ndarray,
     ref_rows: np.ndarray, offsets: np.ndarray,
@@ -379,10 +300,12 @@ def aggregate_segments(
     *e_rows* are experiment sample positions aligned with the pairs,
     already in canonical ``(left, right, position)`` hit order within
     each reference; *offsets* is the CSR grouping from
-    :func:`repro.store.group_offsets`.  Dispatches to bit-exact vector
-    reductions where the classification allows, otherwise reduces each
-    group with ``aggregate.compute`` over the canonically ordered Python
-    values -- byte-identical to the naive operator either way.
+    :func:`repro.store.group_offsets`; *column* is the experiment's
+    :class:`~repro.store.ValueColumn` of the aggregated attribute
+    (``None`` for COUNT).  Dispatches to bit-exact vector reductions
+    where the classification allows, otherwise reduces each group with
+    ``aggregate.compute`` over the canonically ordered Python values --
+    byte-identical to the naive operator either way.
     """
     counts = segment_counts(offsets)
     n = int(counts.size)
@@ -390,7 +313,7 @@ def aggregate_segments(
     if isinstance(aggregate, Count) and column is None:
         return [int(c) for c in counts.tolist()]
 
-    raw, array, cache = column if column is not None else (None, None, None)
+    array = column.exact(type_name) if column is not None else None
     if array is not None:
         gathered = array[e_rows]
         is_float = array.dtype.kind == "f"
@@ -427,7 +350,10 @@ def aggregate_segments(
         if (
             isinstance(aggregate, (Sum, Avg, Std))
             and is_float
-            and _column_all_floats(raw, cache)
+            # The fsum kernels are proven bit-identical to the naive
+            # ``math.fsum`` only when the naive side sees floats too: a
+            # FLOAT column carrying stray ints makes it return ``int``.
+            and column.all_float()
         ):
             # segment_fsum == per-group math.fsum bit-for-bit (it raises
             # in parity too), which is the definition of the naive float
@@ -476,33 +402,40 @@ def aggregate_segments(
                     out.append((int(ordered[lo[i]]) + int(ordered[hi[i]])) / 2)
             return out
 
-    if isinstance(aggregate, Bag) and raw is not None:
-        strings = _bag_strings(raw, cache)
-        if strings is not None:
-            gathered_strings = strings[e_rows]
-            order = np.lexsort((gathered_strings, ref_rows))
-            groups_ordered = ref_rows[order]
-            values_ordered = gathered_strings[order]
-            keep = np.ones(order.size, dtype=bool)
-            if order.size:
-                keep[1:] = (values_ordered[1:] != values_ordered[:-1]) | (
-                    groups_ordered[1:] != groups_ordered[:-1]
-                )
-            kept_groups = groups_ordered[keep]
-            kept_values = values_ordered[keep].tolist()
-            group_ids = np.arange(n, dtype=np.int64)
-            lo = np.searchsorted(kept_groups, group_ids, side="left")
-            hi = np.searchsorted(kept_groups, group_ids, side="right")
-            return [
-                " ".join(kept_values[lo[i]:hi[i]]) if counts[i] else empty
-                for i in range(n)
-            ]
+    if (
+        isinstance(aggregate, Bag)
+        and column is not None
+        # BAG filters missing values before stringifying: the Python
+        # path does that.  numpy ``<U`` comparison orders by code point
+        # exactly like ``str``, so a lexsort reproduces the naive
+        # ``sorted(set(...))``.
+        and not column.has_missing()
+    ):
+        gathered_strings = column.strings()[e_rows]
+        order = np.lexsort((gathered_strings, ref_rows))
+        groups_ordered = ref_rows[order]
+        values_ordered = gathered_strings[order]
+        keep = np.ones(order.size, dtype=bool)
+        if order.size:
+            keep[1:] = (values_ordered[1:] != values_ordered[:-1]) | (
+                groups_ordered[1:] != groups_ordered[:-1]
+            )
+        kept_groups = groups_ordered[keep]
+        kept_values = values_ordered[keep].tolist()
+        group_ids = np.arange(n, dtype=np.int64)
+        lo = np.searchsorted(kept_groups, group_ids, side="left")
+        hi = np.searchsorted(kept_groups, group_ids, side="right")
+        return [
+            " ".join(kept_values[lo[i]:hi[i]]) if counts[i] else empty
+            for i in range(n)
+        ]
 
     # Canonical-order Python reduction: exact for None-bearing columns,
     # huge-int SUM/AVG, -0.0/NaN tie-sensitive MIN/MAX/MEDIAN, and any
     # unregistered aggregate.
     gathered_raw = (
-        [raw[i] for i in e_rows.tolist()] if raw is not None else None
+        [column.values[i] for i in e_rows.tolist()]
+        if column is not None else None
     )
     bounds = offsets.tolist()
     out = []
@@ -667,8 +600,7 @@ class ColumnarBackend(NaiveBackend):
                                        [(child.name, sample.id)])
                                 continue
                     mask = _vectorise_predicate(
-                        plan.region_predicate, child.schema, sample.regions,
-                        column_cache=blocks.column_cache,
+                        plan.region_predicate, child.schema, sample.regions
                     )
                     if mask is None:
                         bound = plan.region_predicate.bind(child.schema)
@@ -802,16 +734,16 @@ class ColumnarBackend(NaiveBackend):
             empty_row = tuple(
                 aggregate.compute([]) for aggregate, __, ___ in resolved
             )
-            columns_by_sample: dict = {}
 
             def parts():
                 for (ref_sample, exp_sample), tasks in zip(pairs, planned):
-                    columns = columns_by_sample.get(exp_sample.id)
-                    if columns is None:
-                        columns = experiment_columns(
-                            exp_sample.regions, resolved
+                    columns = {
+                        attr_index: region_column(
+                            exp_sample.regions, attr_index
                         )
-                        columns_by_sample[exp_sample.id] = columns
+                        for __, attr_index, ___ in resolved
+                        if attr_index is not None
+                    }
                     rows = [empty_row] * len(ref_sample.regions)
                     for block, exp_block, task in tasks:
                         ref_rows, e_pos = task.result()

@@ -12,7 +12,7 @@ from repro.gdm.digest import dataset_digest, results_digest
 from repro.gdm.metadata import Metadata
 from repro.gdm.region import GenomicRegion, STRANDS, chromosome_sort_key
 from repro.gdm.render import render_tables, render_tracks
-from repro.gdm.sample import Sample, renumber
+from repro.gdm.sample import RegionList, Sample, renumber
 from repro.gdm.schema import (
     AttributeDef,
     AttributeType,
@@ -38,6 +38,7 @@ __all__ = [
     "INT",
     "MergedSchema",
     "Metadata",
+    "RegionList",
     "RegionSchema",
     "STR",
     "STRANDS",

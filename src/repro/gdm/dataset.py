@@ -180,7 +180,10 @@ class Dataset:
         struct-of-arrays blocks, zone maps and the content digest.  One
         store is kept per requested (bin size, store root); adding a
         sample invalidates all of them, so stores always describe
-        current content.
+        current content.  Per-sample blocks themselves are memoised on
+        the samples' region lists, so a dataset sharing lists with
+        another (a renamed copy, a metadata SELECT's result) gets them
+        from its fresh store without a rebuild.
 
         *root* overrides the process-default store root (see
         :func:`repro.store.persist.store_root`); with a root the store

@@ -16,6 +16,29 @@ from repro.gdm.metadata import Metadata
 from repro.gdm.region import GenomicRegion
 
 
+class RegionList(list):
+    """A sample's region list, and the holder of what is derived from it.
+
+    The columnar store memoises everything it derives from one list --
+    per-bin-size blocks and typed value columns, see
+    :func:`repro.store.columnar.region_memo` -- in :attr:`memo`, so
+    every sample sharing the list object (a metadata SELECT's output, a
+    renumbered or renamed copy) shares them too.  The memo is valid by
+    identity: a list is never mutated in place once a sample holds it
+    (``benchmarks/lint_repo.py`` rule RL009 enforces that under
+    ``src/``).  It dies with the list and is never pickled or copied.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, regions: Iterable[GenomicRegion] = ()) -> None:
+        super().__init__(regions)
+        self.memo = None
+
+    def __reduce__(self):
+        return (RegionList, (), None, iter(self))
+
+
 class Sample:
     """One experimental sample: id + regions + metadata.
 
@@ -24,8 +47,10 @@ class Sample:
     sample_id:
         Integer identifier, unique within the owning dataset.
     regions:
-        Iterable of :class:`GenomicRegion`; stored as a list in the
-        given order (operators that need genome order sort explicitly).
+        Iterable of :class:`GenomicRegion`, kept in the given order
+        (operators that need genome order sort explicitly).  A
+        :class:`RegionList` is kept as is -- shared, with its memo --
+        anything else is copied into a new one.
     meta:
         The sample's metadata; defaults to empty metadata.
     """
@@ -41,7 +66,9 @@ class Sample:
         if sample_id < 0:
             raise DatasetError(f"negative sample id: {sample_id}")
         self.id = int(sample_id)
-        self.regions = list(regions)
+        self.regions = (
+            regions if isinstance(regions, RegionList) else RegionList(regions)
+        )
         self.meta = meta if meta is not None else Metadata()
 
     # -- inspection -----------------------------------------------------------
@@ -93,7 +120,7 @@ class Sample:
     # -- derivation -----------------------------------------------------------
 
     def with_id(self, sample_id: int) -> "Sample":
-        """Copy under a new id (shares region objects: they are immutable)."""
+        """Copy under a new id (shares the region list and its memo)."""
         return Sample(sample_id, self.regions, self.meta)
 
     def with_regions(self, regions: Iterable[GenomicRegion]) -> "Sample":

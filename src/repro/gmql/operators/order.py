@@ -82,6 +82,10 @@ def order(
         region_sorters.append((getter, direction == "DESC"))
 
     def order_regions(regions: list) -> list:
+        if not region_sorters and region_top is None:
+            # Ordering samples only: hand the list (and the blocks and
+            # columns memoised on it) through unchanged.
+            return regions
         ordered = list(regions)
         for getter, descending in reversed(region_sorters):
             # Missing values sort last regardless of direction, so

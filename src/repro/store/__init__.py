@@ -4,8 +4,10 @@ This package is the physical data layout underneath the execution
 engines (the paper's section 4 "cloud-based execution" direction):
 
 * :mod:`repro.store.columnar` -- per-chromosome struct-of-arrays blocks
-  with zone maps, memoised per dataset, so kernels stop rebuilding
-  numpy arrays from region objects on every operator;
+  with zone maps and typed value columns, memoised on each sample's
+  region list (and so shared by every dataset holding that list), so
+  kernels stop rebuilding numpy arrays from region objects on every
+  operator;
 * :mod:`repro.store.join_kernels` -- vectorised genometric JOIN/MAP
   pair kernels (``searchsorted``/merge arithmetic over one
   chromosome's sorted block arrays);
@@ -44,7 +46,9 @@ from repro.store.columnar import (
     STRAND_CODES,
     ChromBlock,
     DatasetStore,
+    RegionMemo,
     SampleBlocks,
+    ValueColumn,
     ZoneEntry,
     ZoneMap,
     count_morsels,
@@ -54,6 +58,8 @@ from repro.store.columnar import (
     occupied_bins,
     overlap_counts,
     point_feature_adjustment,
+    region_column,
+    region_memo,
     reset_store_counters,
     store_counters,
 )
@@ -107,9 +113,11 @@ __all__ = [
     "ChromBlock",
     "DEFAULT_CAPACITY",
     "DatasetStore",
+    "RegionMemo",
     "ResultCache",
     "STRAND_CODES",
     "SampleBlocks",
+    "ValueColumn",
     "ZoneEntry",
     "ZoneMap",
     "block_cover_columns",
@@ -144,6 +152,8 @@ __all__ = [
     "persist_store",
     "plan_token",
     "point_feature_adjustment",
+    "region_column",
+    "region_memo",
     "reset_residency_ledger",
     "reset_store_counters",
     "residency_ledger",

@@ -9,6 +9,14 @@ the set of occupied genome bins per chromosome) so operators can prove
 "nothing here can match" and skip whole chromosomes or bins without
 touching a single region.
 
+Everything derived from one sample's regions -- its blocks per bin size
+and its typed value columns (:func:`region_column`) -- is memoised on
+the region list itself (:class:`RegionMemo`, held by
+:class:`~repro.gdm.sample.RegionList`), not on a dataset: operators
+that pass a list through unchanged (metadata SELECT, EXTEND, ORDER by
+metadata, renames and renumbering) hand their output the blocks their
+operand already built, so a derived dataset costs no rebuild.
+
 The layer is storage-only: it never interprets operator semantics.
 Engines ask a :class:`DatasetStore` (memoised on the dataset, see
 :meth:`repro.gdm.dataset.Dataset.store`) for blocks and zone maps;
@@ -20,10 +28,13 @@ pruning only the counting identity can use.
 from __future__ import annotations
 
 import hashlib
+import threading
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
 
+from repro.gdm.sample import RegionList
 from repro.intervals.bins import DEFAULT_BIN_SIZE
 
 #: Integer strand encoding used by block ``strands`` arrays: forward is
@@ -32,12 +43,17 @@ from repro.intervals.bins import DEFAULT_BIN_SIZE
 #: :func:`repro.intervals.distance.stream_pair_mask`).
 STRAND_CODES = {"+": 1, "-": -1, "*": 0}
 
+_LEFT = attrgetter("left")
+_RIGHT = attrgetter("right")
+_STRAND = attrgetter("strand")
+
 #: Process-wide block accounting, mirroring the per-store counters.
 #: Individual stores live on (possibly short-lived) derived datasets --
-#: a COVER over a SELECT result builds its blocks on the SELECT output's
-#: store, which is garbage once the query returns -- so observers that
-#: only see the source datasets (the bench harness, ``repro info``)
-#: would under-count.  These totals survive the stores that fed them.
+#: a COVER over a region SELECT's result builds its blocks through the
+#: SELECT output's store, which is garbage once the query returns -- so
+#: observers that only see the source datasets (the bench harness,
+#: ``repro info``) would under-count.  These totals survive the stores
+#: that fed them.
 _PROCESS_COUNTERS = {
     "blocks_built": 0,
     "blocks_mapped": 0,
@@ -266,38 +282,40 @@ class ChromBlock:
 
 
 class SampleBlocks:
-    """All columnar blocks of one sample plus its zone map.
+    """All columnar blocks of one region list plus its zone map.
 
-    ``column_cache`` additionally memoises whole-sample attribute
-    columns (coordinates, strand, value columns) built by the vectorised
-    SELECT path, so repeated predicates over one sample reuse arrays.
+    ``sample_id`` is the id of the sample the blocks were first built
+    for; samples sharing the region list share the blocks whatever
+    their own ids.
     """
 
-    __slots__ = ("sample_id", "n_regions", "chroms", "zone_map",
-                 "column_cache")
+    __slots__ = ("sample_id", "n_regions", "chroms", "zone_map")
 
     def __init__(self, sample_id, regions, bin_size: int) -> None:
         self.sample_id = sample_id
         self.n_regions = len(regions)
         self.chroms: dict = {}
         self.zone_map = ZoneMap(bin_size)
-        self.column_cache: dict = {}
-        grouped: dict = {}
+        grouped: dict = {}  # chrom -> (positions, region objects)
         for position, region in enumerate(regions):
-            grouped.setdefault(region.chrom, []).append(position)
-        for chrom, positions in grouped.items():
+            group = grouped.get(region.chrom)
+            if group is None:
+                group = grouped[region.chrom] = ([], [])
+            group[0].append(position)
+            group[1].append(region)
+        for chrom, (positions, members) in grouped.items():
+            count = len(positions)
             index = np.asarray(positions, dtype=np.int64)
             starts = np.fromiter(
-                (regions[i].left for i in positions),
-                dtype=np.int64, count=len(positions),
+                map(_LEFT, members), dtype=np.int64, count=count
             )
             stops = np.fromiter(
-                (regions[i].right for i in positions),
-                dtype=np.int64, count=len(positions),
+                map(_RIGHT, members), dtype=np.int64, count=count
             )
             strands = np.fromiter(
-                (STRAND_CODES.get(regions[i].strand, 0) for i in positions),
-                dtype=np.int8, count=len(positions),
+                (STRAND_CODES.get(strand, 0)
+                 for strand in map(_STRAND, members)),
+                dtype=np.int8, count=count,
             )
             self.chroms[chrom] = ChromBlock(
                 chrom, starts, stops, index, strands
@@ -321,7 +339,6 @@ class SampleBlocks:
         blocks.n_regions = n_regions
         blocks.chroms = chroms
         blocks.zone_map = zone_map
-        blocks.column_cache = {}
         return blocks
 
     def nbytes(self) -> int:
@@ -341,16 +358,150 @@ class SampleBlocks:
     def block(self, chrom: str) -> ChromBlock | None:
         return self.chroms.get(chrom)
 
-    def chrom_arrays(self) -> dict:
-        """Legacy view ``{chrom: (sorted_starts, sorted_stops)}``.
 
-        The shape :func:`repro.engine.columnar._chrom_arrays` used to
-        rebuild per operator; kept so callers can migrate piecemeal.
+# -- the per-region-list memo ---------------------------------------------------
+
+
+class RegionMemo:
+    """Everything the store derives from one region list, held by the list.
+
+    ``blocks`` maps a bin size to the list's :class:`SampleBlocks`;
+    ``columns`` maps a field to its :class:`ValueColumn`.  Blocks built
+    in memory are charged to the
+    :class:`~repro.store.persist.ResidencyLedger` with this memo as
+    their owner: the charge is discharged when the memo -- that is, its
+    list -- dies, and a spill drops the blocks from here.
+    """
+
+    __slots__ = ("blocks", "columns", "evictions", "__weakref__")
+
+    def __init__(self) -> None:
+        self.blocks: dict = {}
+        self.columns: dict = {}
+        #: Block sets the residency ledger spilled from this memo.
+        self.evictions = 0
+
+    def _evict_resident(self, bin_size) -> None:
+        """Ledger spill callback: drop the blocks of one bin size."""
+        if self.blocks.pop(bin_size, None) is not None:
+            self.evictions += 1
+            _PROCESS_COUNTERS["blocks_evicted"] += 1
+
+
+_ATTACH_LOCK = threading.Lock()
+
+
+def region_memo(regions) -> RegionMemo | None:
+    """The memo of *regions*, attached on first use.
+
+    ``None`` when *regions* is not a
+    :class:`~repro.gdm.sample.RegionList` (a plain list a caller
+    assigned to ``sample.regions``): such a list cannot carry a memo,
+    so everything derived from it is rebuilt on request.
+    """
+    if not isinstance(regions, RegionList):
+        return None
+    memo = regions.memo
+    if memo is None:
+        with _ATTACH_LOCK:
+            memo = regions.memo
+            if memo is None:
+                memo = regions.memo = RegionMemo()
+    return memo
+
+
+def _peek_memo(regions) -> RegionMemo | None:
+    """The memo of *regions* if one is attached (never attaches one)."""
+    return regions.memo if isinstance(regions, RegionList) else None
+
+
+_UNSET = object()
+
+
+class ValueColumn:
+    """One field of every region of a list, extracted once.
+
+    :attr:`values` holds the field's Python value per region, in list
+    order; each typed array view is derived from it on first request and
+    memoised, so a MAP aggregate or a SELECT predicate over a resident
+    list never walks its region objects again.
+    """
+
+    __slots__ = ("values", "_views")
+
+    def __init__(self, values: list) -> None:
+        self.values = values
+        self._views: dict = {}
+
+    def _view(self, name, build):
+        view = self._views.get(name, _UNSET)
+        if view is _UNSET:
+            view = self._views[name] = build()
+        return view
+
+    def has_missing(self) -> bool:
+        return self._view(
+            "missing", lambda: any(value is None for value in self.values)
+        )
+
+    def exact(self, type_name: str | None) -> np.ndarray | None:
+        """The values as int64 (``INT``) or float64 (``FLOAT``), or ``None``.
+
+        ``None`` for any other type, a missing value, or a value the
+        dtype cannot hold: the precondition of every exact vectorised
+        reduction.
         """
-        return {
-            chrom: (block.sorted_starts, block.sorted_stops)
-            for chrom, block in self.chroms.items()
-        }
+        def build():
+            if type_name not in ("INT", "FLOAT") or self.has_missing():
+                return None
+            dtype = np.int64 if type_name == "INT" else np.float64
+            try:
+                return np.asarray(self.values, dtype=dtype)
+            except (OverflowError, ValueError):
+                return None
+
+        return self._view(("exact", type_name), build)
+
+    def floats(self) -> np.ndarray:
+        """float64 values with NaN for missing ones (numeric predicates)."""
+        return self._view("floats", lambda: np.array(
+            [np.nan if value is None else float(value)
+             for value in self.values],
+            dtype=np.float64,
+        ))
+
+    def strings(self) -> np.ndarray:
+        """The values as a numpy string array, ``""`` for missing ones."""
+        return self._view("strings", lambda: np.array(
+            ["" if value is None else str(value) for value in self.values]
+        ))
+
+    def all_float(self) -> bool:
+        """Whether every value is a Python ``float``."""
+        return self._view(
+            "all_float",
+            lambda: all(isinstance(value, float) for value in self.values),
+        )
+
+
+def region_column(regions, field) -> ValueColumn:
+    """The (memoised) :class:`ValueColumn` of one field of *regions*.
+
+    *field* is a fixed attribute name (``"left"``, ``"right"``,
+    ``"chrom"``, ``"strand"``) or an index into each region's variable
+    values.  The one column extraction every columnar operator uses.
+    """
+    memo = region_memo(regions)
+    column = memo.columns.get(field) if memo is not None else None
+    if column is None:
+        if isinstance(field, int):
+            values = [region.values[field] for region in regions]
+        else:
+            values = list(map(attrgetter(field), regions))
+        column = ValueColumn(values)
+        if memo is not None:
+            memo.columns[field] = column
+    return column
 
 
 def point_feature_adjustment(
@@ -564,24 +715,52 @@ def _update_column(h, column: list, count: int) -> None:
 _TYPE_TAGS = {float: "f", int: "i", str: "s", bool: "b", type(None): "n"}
 
 
+class _StoreContents:
+    """What a store reads of its dataset: the schema and the live sample map.
+
+    Holding these rather than the :class:`~repro.gdm.dataset.Dataset`
+    keeps the dataset -> store memo acyclic, so a dropped derived
+    dataset -- and with it the memos of region lists only it held -- is
+    freed by reference counting, not at the next full collection.
+    """
+
+    __slots__ = ("schema", "_samples")
+
+    def __init__(self, dataset) -> None:
+        self.schema = dataset.schema
+        self._samples = dataset._samples
+
+    def __iter__(self) -> Iterator:
+        for sample_id in sorted(self._samples):
+            yield self._samples[sample_id]
+
+    def region_count(self) -> int:
+        return sum(len(sample) for sample in self._samples.values())
+
+
 class DatasetStore:
     """Columnar blocks, zone maps and a content digest for one dataset.
 
-    Built lazily per sample on first access and memoised on the owning
-    :class:`~repro.gdm.dataset.Dataset` (see :meth:`Dataset.store`); the
-    dataset invalidates its store when samples are added, so a store
-    always describes the content it was derived from.
+    Memoised on the owning :class:`~repro.gdm.dataset.Dataset` (see
+    :meth:`Dataset.store`); the dataset invalidates its stores when
+    samples are added, so a store always describes the content it was
+    derived from.  Per-sample blocks are not the store's: they live in
+    each region list's :class:`RegionMemo`, so every dataset sharing a
+    list -- whatever its store -- shares them.  The store itself holds
+    only dataset-wide state: the union blocks, the zone map, the digest
+    and the persisted segments.
 
     With a *root* configured (``--store-dir`` / ``REPRO_STORE_DIR`` /
-    :func:`repro.store.persist.set_store_root`), block requests first
-    try the persisted content-addressed store: a hit returns zero-copy
-    ``np.memmap`` views built by :class:`repro.store.persist.PersistedStore`
-    (counted in :attr:`blocks_mapped`), a miss builds in memory as
-    before and triggers a one-time persist -- synchronous when *sync*
-    resolves true, otherwise in a background thread.  In-memory built
-    blocks are charged against the process-wide
-    :class:`~repro.store.persist.ResidencyLedger` so a budget can spill
-    the least-recently-used blocks instead of exhausting RAM.
+    :func:`repro.store.persist.set_store_root`), a block request the
+    region list's memo cannot serve first tries the persisted
+    content-addressed store: a hit returns zero-copy ``np.memmap`` views
+    built by :class:`repro.store.persist.PersistedStore` (counted in
+    :attr:`blocks_mapped`), a miss builds in memory and triggers a
+    one-time persist -- synchronous when *sync* resolves true, otherwise
+    in a background thread.  In-memory built blocks are charged against
+    the process-wide :class:`~repro.store.persist.ResidencyLedger` so a
+    budget can spill the least-recently-used blocks instead of
+    exhausting RAM.
     """
 
     def __init__(
@@ -593,23 +772,21 @@ class DatasetStore:
     ) -> None:
         from repro.store import persist
 
-        self._dataset = dataset
+        self._dataset = _StoreContents(dataset)
         self.bin_size = int(bin_size or DEFAULT_BIN_SIZE)
         self.root = root if root is not None else persist.store_root()
         self.sync = persist.persist_sync_default() if sync is None else sync
-        self._samples: dict = {}
         self._union: SampleBlocks | None = None
         self._zone_map: ZoneMap | None = None
         self._digest: str | None = None
         self._persisted = None
         self._persisted_checked = False
         self._persist_thread = None
+        self._union_evictions = 0
         #: Blocks materialised in memory so far (observability / bench).
         self.blocks_built = 0
         #: Blocks served as memory-mapped segment views.
         self.blocks_mapped = 0
-        #: Blocks evicted by the residency ledger (spill events).
-        self.blocks_evicted = 0
 
     # -- persisted-store plumbing --------------------------------------------
 
@@ -638,9 +815,9 @@ class DatasetStore:
 
     def _schedule_persist(self) -> None:
         """Persist this store to its root once (sync or background)."""
-        if self.root is None or self._persisted_store() is not None:
+        if self.root is None or self._persist_thread is not None:
             return
-        if self._persist_thread is not None:
+        if self._persisted_store() is not None:
             return
         from repro.store.persist import persist_store
 
@@ -651,7 +828,6 @@ class DatasetStore:
             self._persisted_checked = False
             self._persisted = None
             return
-        import threading
 
         def _persist() -> None:
             try:
@@ -674,80 +850,83 @@ class DatasetStore:
         if thread is not None and thread is not True:
             thread.join(timeout)
 
-    def _charge(self, key, blocks: SampleBlocks) -> None:
-        from repro.store.persist import residency_ledger
-
-        residency_ledger().charge(self, key, blocks.nbytes())
-
-    def _touch(self, key) -> None:
-        from repro.store.persist import residency_ledger
-
-        residency_ledger().touch(self, key)
-
     def _evict_resident(self, key) -> None:
-        """Drop one built block set (ledger spill callback).
+        """Drop the union blocks (ledger spill callback).
 
-        Persisted stores re-serve the blocks as mmap views on the next
-        request; unpersisted ones rebuild from the region objects.  The
-        dataset-level zone map survives union eviction -- it is small
-        and plan-time pruning depends on it.
+        A persisted store re-serves them as mmap views on the next
+        request; an unpersisted one rebuilds them from the region
+        objects.  The dataset-level zone map survives -- it is small and
+        plan-time pruning depends on it.
         """
-        from repro.store.persist import UNION_KEY
-
-        if key == UNION_KEY:
+        if self._union is not None:
             self._union = None
-        else:
-            self._samples.pop(key, None)
-        self.blocks_evicted += 1
-        _PROCESS_COUNTERS["blocks_evicted"] += 1
+            self._union_evictions += 1
+            _PROCESS_COUNTERS["blocks_evicted"] += 1
 
     # -- block access ---------------------------------------------------------
 
+    def _built(self, owner, key, blocks: SampleBlocks) -> None:
+        """Account an in-memory build: counters, ledger charge, persist."""
+        from repro.store.persist import residency_ledger
+
+        self.blocks_built += 1
+        _PROCESS_COUNTERS["blocks_built"] += 1
+        if owner is not None:
+            residency_ledger().charge(owner, key, blocks.nbytes())
+        self._schedule_persist()
+
     def blocks(self, sample) -> SampleBlocks:
-        """The (memoised) :class:`SampleBlocks` of one member sample."""
-        blocks = self._samples.get(sample.id)
-        if blocks is None:
-            blocks = self._mapped_blocks(sample.id, len(sample.regions))
-            if blocks is None:
-                blocks = SampleBlocks(
-                    sample.id, sample.regions, self.bin_size
-                )
-                self.blocks_built += 1
-                _PROCESS_COUNTERS["blocks_built"] += 1
-                self._charge(sample.id, blocks)
-                self._samples[sample.id] = blocks
-                self._schedule_persist()
-            else:
-                self._samples[sample.id] = blocks
-        else:
-            self._touch(sample.id)
+        """The :class:`SampleBlocks` of one member sample.
+
+        The one way to get them: the region list's memo first, then the
+        persisted root, then an in-memory build, memoised on the list.
+        A rooted store serving memoised blocks still persists itself
+        once, like one that built them.
+        """
+        from repro.store.persist import residency_ledger
+
+        regions = sample.regions
+        memo = region_memo(regions)
+        blocks = memo.blocks.get(self.bin_size) if memo is not None else None
+        if blocks is not None:
+            residency_ledger().touch(memo, self.bin_size)
+            self._schedule_persist()
+            return blocks
+        blocks = self._mapped_blocks(sample.id, len(regions))
+        if blocks is not None:
+            if memo is not None:
+                memo.blocks[self.bin_size] = blocks
+            return blocks
+        blocks = SampleBlocks(sample.id, regions, self.bin_size)
+        if memo is not None:
+            memo.blocks[self.bin_size] = blocks
+        self._built(memo, self.bin_size, blocks)
         return blocks
 
     def union_blocks(self) -> SampleBlocks:
         """Blocks over *all* regions of the dataset (DIFFERENCE masks)."""
-        from repro.store.persist import UNION_KEY
+        from repro.store.persist import UNION_KEY, residency_ledger
 
-        if self._union is None:
-            union = self._mapped_blocks(
-                None, self._dataset.region_count()
-            )
-            if union is None:
-                regions = [
+        union = self._union
+        if union is not None:
+            residency_ledger().touch(self, UNION_KEY)
+            return union
+        union = self._mapped_blocks(None, self._dataset.region_count())
+        if union is None:
+            union = SampleBlocks(
+                None,
+                [
                     region
                     for sample in self._dataset
                     for region in sample.regions
-                ]
-                union = SampleBlocks(None, regions, self.bin_size)
-                self.blocks_built += 1
-                _PROCESS_COUNTERS["blocks_built"] += 1
-                self._charge(UNION_KEY, union)
-                self._union = union
-                self._schedule_persist()
-            else:
-                self._union = union
+                ],
+                self.bin_size,
+            )
+            self._union = union
+            self._built(self, UNION_KEY, union)
         else:
-            self._touch(UNION_KEY)
-        return self._union
+            self._union = union
+        return union
 
     def zone_map(self) -> ZoneMap:
         """The dataset-level zone map (union of all samples)."""
@@ -759,24 +938,42 @@ class DatasetStore:
         """Occupied (chromosome, bin) partitions across the dataset."""
         return self.zone_map().partitions()
 
+    def _sample_memos(self) -> list:
+        return [
+            memo
+            for memo in map(_peek_memo, (s.regions for s in self._dataset))
+            if memo is not None
+        ]
+
+    @property
+    def blocks_evicted(self) -> int:
+        """Block sets of this dataset the residency ledger spilled."""
+        return self._union_evictions + sum(
+            memo.evictions for memo in self._sample_memos()
+        )
+
     def resident_bytes(self) -> int:
-        """Bytes of block arrays currently materialised by this store.
+        """Bytes of block arrays currently materialised for this dataset.
 
-        Memory-mapped blocks count zero real bytes here: their pages
-        belong to the OS page cache, not this process's working set.
+        Counts the union blocks and, at this store's bin size, the
+        blocks memoised on its samples' region lists (a list shared with
+        another dataset counts for both).  Memory-mapped blocks count
+        zero real bytes here: their pages belong to the OS page cache,
+        not this process's working set.
         """
-        import numpy as _np
-
+        candidates = [
+            memo.blocks.get(self.bin_size) for memo in self._sample_memos()
+        ]
+        candidates.append(self._union)
         total = 0
-        candidates = list(self._samples.values())
-        if self._union is not None:
-            candidates.append(self._union)
         for blocks in candidates:
+            if blocks is None:
+                continue
             for block in blocks.chroms.values():
                 base = block.starts
-                while isinstance(getattr(base, "base", None), _np.ndarray):
+                while isinstance(getattr(base, "base", None), np.ndarray):
                     base = base.base
-                if isinstance(base, _np.memmap):
+                if isinstance(base, np.memmap):
                     continue
                 total += blocks.nbytes()
                 break

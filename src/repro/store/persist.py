@@ -45,6 +45,7 @@ elsewhere), so segment lifecycles stay in one auditable file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import struct
@@ -223,17 +224,20 @@ def persist_store(store) -> Path | None:
     a ``.tmp-`` sibling which is then renamed into place.  If another
     process (or thread) wins the rename race its output is byte-wise
     interchangeable, so the loser just discards its temporary directory.
-    Samples whose blocks are not already memoised are built one at a
-    time and dropped immediately, so persisting a dataset never needs
-    the whole dataset's blocks in memory at once.
+    Blocks come from :meth:`DatasetStore.blocks` / ``union_blocks`` like
+    everyone else's: blocks already memoised on a region list are
+    written as they are, missing ones are built (and charged to the
+    residency ledger, so a budget still bounds what a persist holds).
 
     Returns ``None`` when the store has no root configured.
     """
-    from repro.store.columnar import SampleBlocks
-
     root = store.root
     if root is None:
         return None
+    if store._persist_thread is None:
+        # This call is the store's one persist: block builds below must
+        # not schedule another.
+        store._persist_thread = True
     dataset = store._dataset
     final = store_directory(root, store.digest(), store.bin_size)
     if (final / MANIFEST_NAME).is_file():
@@ -248,20 +252,10 @@ def persist_store(store) -> Path | None:
         with open(tmp / SEGMENTS_NAME, "wb") as handle:
             writer = _SegmentWriter(handle)
             for sample in dataset:
-                blocks = store._samples.get(sample.id)
-                if blocks is None or _is_mapped(blocks):
-                    blocks = SampleBlocks(
-                        sample.id, sample.regions, store.bin_size
-                    )
-                samples[str(sample.id)] = _write_blocks(writer, blocks)
-            union = store._union
-            if union is None or _is_mapped(union):
-                union = SampleBlocks(
-                    None,
-                    [r for sample in dataset for r in sample.regions],
-                    store.bin_size,
+                samples[str(sample.id)] = _write_blocks(
+                    writer, store.blocks(sample)
                 )
-            samples[UNION_KEY] = _write_blocks(writer, union)
+            samples[UNION_KEY] = _write_blocks(writer, store.union_blocks())
         manifest = {
             "format": STORE_FORMAT,
             "version": STORE_VERSION,
@@ -288,15 +282,6 @@ def persist_store(store) -> Path | None:
             import shutil
 
             shutil.rmtree(tmp, ignore_errors=True)
-
-
-def _is_mapped(blocks) -> bool:
-    """True when *blocks* is already served from persisted segments."""
-    for block in blocks.chroms.values():
-        return isinstance(block.starts, np.memmap) or isinstance(
-            getattr(block.starts, "base", None), np.memmap
-        )
-    return False
 
 
 # -- opening persisted stores ---------------------------------------------------
@@ -546,12 +531,22 @@ def residency_budget_from_env(default: int | None = None) -> int | None:
 class ResidencyLedger:
     """Process-wide LRU accounting of in-memory built block bytes.
 
-    Every :class:`~repro.store.columnar.DatasetStore` charges the bytes
-    of blocks it *builds* (never blocks it maps -- the page cache evicts
-    those for free).  When the budget would overflow, least-recently-
-    used blocks are evicted from their owning stores: persisted blocks
-    come back as mmap views, unpersisted ones are rebuilt on demand.
-    Either way the process spills instead of OOMing.
+    Owners charge the bytes of blocks they *build* (never blocks they
+    map -- the page cache evicts those for free): the
+    :class:`~repro.store.columnar.RegionMemo` of a region list for its
+    sample blocks, a :class:`~repro.store.columnar.DatasetStore` for its
+    union blocks.  When the budget would overflow, least-recently-used
+    blocks are evicted from their owners (``owner._evict_resident(key)``):
+    persisted blocks come back as mmap views, unpersisted ones are
+    rebuilt on demand.  Either way the process spills instead of OOMing.
+
+    A charge lives exactly as long as its owner.  Owners are registered
+    under a serial number (an ``id()`` is only ever looked up through a
+    weak reference that must still point at the same object), and each
+    owner's weak-reference callback queues its serial when it dies; every
+    ledger call first drops the queued owners' charges, so dead bytes
+    neither count against the budget nor make a live block the victim.
+    One lock guards the ledger, which concurrent queries share.
     """
 
     def __init__(self, budget_bytes: int | None = None) -> None:
@@ -560,35 +555,103 @@ class ResidencyLedger:
             if budget_bytes is not None
             else residency_budget_from_env()
         )
-        #: ``(store id, block key) -> (weakref to store, nbytes)``, in
-        #: least-recently-used-first order.
+        #: ``(owner serial, block key) -> nbytes``, in least-recently-used
+        #: first order.
         self._entries: OrderedDict = OrderedDict()
+        #: ``owner serial -> (weakref to owner, id(owner), charged keys)``.
+        self._owners: dict = {}
+        #: ``id(owner) -> serial`` for the registered owners.
+        self._serial_of_id: dict = {}
+        #: Serials of owners that died, queued by weakref callbacks (which
+        #: may run on any thread, so they never take the lock).
+        self._dead: list = []
+        self._serials = itertools.count()
+        self._resident = 0
+        self._lock = threading.Lock()
         self.evictions = 0
 
+    # -- bookkeeping (lock held) ---------------------------------------------
+
+    def _reap(self) -> None:
+        while self._dead:
+            self._drop_owner(self._dead.pop())
+
+    def _drop_owner(self, serial: int) -> None:
+        record = self._owners.pop(serial, None)
+        if record is None:
+            return
+        __, ident, keys = record
+        if self._serial_of_id.get(ident) == serial:
+            del self._serial_of_id[ident]
+        for key in keys:
+            self._resident -= self._entries.pop((serial, key), 0)
+
+    def _serial(self, owner, register: bool) -> int | None:
+        """The serial of live *owner*; registers it when *register*."""
+        ident = id(owner)
+        serial = self._serial_of_id.get(ident)
+        if serial is not None:
+            if self._owners[serial][0]() is owner:
+                return serial
+            # The id of an owner whose death is not processed yet.
+            self._drop_owner(serial)
+        if not register:
+            return None
+        serial = next(self._serials)
+        dead = self._dead
+        ref = weakref.ref(owner, lambda __, serial=serial: dead.append(serial))
+        self._owners[serial] = (ref, ident, set())
+        self._serial_of_id[ident] = serial
+        return serial
+
+    # -- the public surface ---------------------------------------------------
+
+    def __len__(self) -> int:
+        """Number of live charges."""
+        with self._lock:
+            self._reap()
+            return len(self._entries)
+
     def resident_bytes(self) -> int:
-        return sum(nbytes for __, nbytes in self._entries.values())
+        """Bytes charged by live owners."""
+        with self._lock:
+            self._reap()
+            return self._resident
 
-    def charge(self, store, key, nbytes: int) -> None:
+    def charge(self, owner, key, nbytes: int) -> None:
         """Account a freshly built block set and enforce the budget."""
-        token = (id(store), key)
-        self._entries[token] = (weakref.ref(store), int(nbytes))
-        self._entries.move_to_end(token)
-        self._enforce(exempt=token)
-
-    def touch(self, store, key) -> None:
-        """Refresh a block set's recency (no-op when not charged)."""
-        token = (id(store), key)
-        if token in self._entries:
+        with self._lock:
+            self._reap()
+            serial = self._serial(owner, register=True)
+            self._owners[serial][2].add(key)
+            token = (serial, key)
+            self._resident += int(nbytes) - self._entries.get(token, 0)
+            self._entries[token] = int(nbytes)
             self._entries.move_to_end(token)
+            self._enforce(exempt=token)
 
-    def discharge(self, store, key) -> None:
+    def touch(self, owner, key) -> None:
+        """Refresh a block set's recency (no-op when not charged)."""
+        with self._lock:
+            self._reap()
+            serial = self._serial(owner, register=False)
+            token = (serial, key)
+            if serial is not None and token in self._entries:
+                self._entries.move_to_end(token)
+
+    def discharge(self, owner, key) -> None:
         """Drop a charge without eviction (owner released it itself)."""
-        self._entries.pop((id(store), key), None)
+        with self._lock:
+            self._reap()
+            serial = self._serial(owner, register=False)
+            if serial is not None:
+                self._owners[serial][2].discard(key)
+                self._resident -= self._entries.pop((serial, key), 0)
 
     def _enforce(self, exempt) -> None:
         if self.budget_bytes is None:
             return
-        while self.resident_bytes() > self.budget_bytes:
+        while self._resident > self.budget_bytes:
             victim = next(
                 (token for token in self._entries if token != exempt), None
             )
@@ -596,11 +659,16 @@ class ResidencyLedger:
                 # Only the block just charged remains; it must stay
                 # resident for the caller to compute on.
                 return
-            ref, __ = self._entries.pop(victim)
-            store = ref()
-            if store is not None:
-                store._evict_resident(victim[1])
-            self.evictions += 1
+            serial, key = victim
+            self._resident -= self._entries.pop(victim)
+            ref, __, keys = self._owners[serial]
+            keys.discard(key)
+            owner = ref()
+            if owner is not None:
+                # Owners' callbacks only drop a reference: safe under
+                # the lock, and no rebuild can slip in between.
+                owner._evict_resident(key)
+                self.evictions += 1
 
 
 _LEDGER: ResidencyLedger | None = None

@@ -18,7 +18,8 @@ same metadata, same order:
 Programs and input strategies are those of
 ``test_join_map_differential.py`` (every genometric clause shape, every
 registered aggregate, zone-grid-straddling and zero-length intervals)
-plus the accumulation family and DIFFERENCE.  This file replaces the
+plus the accumulation family, DIFFERENCE, and MAP / JOIN / COVER over
+derived operands (metadata and region SELECTs).  This file replaces the
 store-on/off property of ``test_store_equivalence.py`` and the
 ``use_shm`` arms of the join/map and float-aggregate suites: the paths
 those compared against no longer exist.
@@ -61,7 +62,23 @@ H = HISTOGRAM(1, ANY) DATA; MATERIALIZE H;
 D = DIFFERENCE() A B; MATERIALIZE D;
 """
 
-PROGRAMS = (JOIN_PROGRAM, MAP_PROGRAM, SWEEP_PROGRAM)
+#: Derived operands: metadata SELECTs hand their region lists (and the
+#: blocks and columns memoised on them) to the operator behind them; a
+#: region SELECT builds fresh lists.  Every executor runs after the
+#: others over the same dataset object, so memoised state must serve
+#: them all identically.
+DERIVED_PROGRAM = """
+P = SELECT(side == 'left') DATA;
+Q = SELECT(side == 'right') DATA;
+E = SELECT(side == 'right'; region: score > 0) DATA;
+MC = MAP(n AS COUNT) P Q; MATERIALIZE MC;
+MA = MAP(a AS AVG(score), s AS SUM(hits)) P Q; MATERIALIZE MA;
+JM = JOIN(MD(1); output: LEFT) P Q; MATERIALIZE JM;
+CV = COVER(1, ANY) Q; MATERIALIZE CV;
+ME = MAP(n AS COUNT, a AS AVG(score)) P E; MATERIALIZE ME;
+"""
+
+PROGRAMS = (JOIN_PROGRAM, MAP_PROGRAM, SWEEP_PROGRAM, DERIVED_PROGRAM)
 
 
 @pytest.fixture(scope="module")

@@ -89,6 +89,34 @@ class TestRegistryRule:
         assert lint.check_operator_registry(set()) == []
 
 
+class TestRegionMutationRule:
+    SNIPPET = SNIPPET_DIR / "rl009_region_mutation.py"
+
+    def test_rl009_is_scoped_to_src(self, tmp_path):
+        """Tests and benchmarks may build region lists however they
+        like; only library code must treat ``.regions`` as immutable."""
+        outside = tmp_path / "tests" / "test_x.py"
+        outside.parent.mkdir()
+        outside.write_text(self.SNIPPET.read_text())
+        assert lint.check_file(outside, {"RL009"}, root=tmp_path) == []
+
+    def test_rl009_fires_in_library_code(self, tmp_path, monkeypatch):
+        library = tmp_path / "src" / "repro" / "x.py"
+        library.parent.mkdir(parents=True)
+        library.write_text(self.SNIPPET.read_text())
+        scoped = [
+            lint.Rule(rule.code, rule.summary, rule.check,
+                      only_under=(tmp_path / "src",))
+            if rule.code == "RL009" else rule
+            for rule in lint.RULES
+        ]
+        monkeypatch.setattr(lint, "RULES", tuple(scoped))
+        problems = lint.check_file(library, {"RL009"}, root=tmp_path)
+        assert [p.line for p in problems] == [
+            line for __, line in expectations(self.SNIPPET)
+        ]
+
+
 class TestRuleSelection:
     def test_select_narrows_to_the_named_codes(self):
         assert lint.active_codes(select="RL001,RL007") == {"RL001", "RL007"}

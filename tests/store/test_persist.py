@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.gdm import Dataset, GenomicRegion, Metadata, RegionSchema, Sample
-from repro.store import DatasetStore
+from repro.store import DatasetStore, region_memo
 from repro.store.persist import (
     BLOCK_COLUMNS,
     MANIFEST_NAME,
@@ -109,7 +109,7 @@ class TestPersistRoundTrip:
         assert (final / SEGMENTS_NAME).is_file()
 
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
-        for sample in dataset:
+        for sample in fresh._dataset:
             assert all_columns(fresh.blocks(sample)) == expected[sample.id]
         assert all_columns(fresh.union_blocks()) == expected_union
         assert fresh.blocks_mapped == 3  # 2 samples + union
@@ -123,7 +123,7 @@ class TestPersistRoundTrip:
         for sample in dataset:
             store.blocks(sample)
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
-        blocks = fresh.blocks(next(iter(dataset)))
+        blocks = fresh.blocks(next(iter(fresh._dataset)))
         base = blocks.chroms["chr1"].starts
         while isinstance(getattr(base, "base", None), np.ndarray):
             base = base.base
@@ -212,7 +212,7 @@ class TestMmapHandles:
         for sample in dataset:
             store.blocks(sample)
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
-        for sample in dataset:
+        for sample in fresh._dataset:
             blocks = fresh.blocks(sample)
             for chrom, block in blocks.chroms.items():
                 for name in ("starts", "stops", "sorted_starts",
@@ -296,7 +296,7 @@ class TestResidencyLedger:
         store.blocks(samples[0])
         store.blocks(samples[1])   # overflows: sample 1 evicted
         assert store.blocks_evicted >= 1
-        assert samples[0].id not in store._samples
+        assert BIN not in region_memo(samples[0].regions).blocks
         # Evicted blocks rebuild transparently on next use.
         rebuilt = store.blocks(samples[0])
         assert rebuilt.chroms["chr1"].starts.tolist() == [0, 120]
@@ -304,9 +304,10 @@ class TestResidencyLedger:
     def test_freshly_charged_block_is_never_its_own_victim(self):
         reset_residency_ledger(1)  # absurdly small budget
         store = DatasetStore(make_dataset(), BIN, root=None)
-        blocks = store.blocks(next(iter(store._dataset)))
+        sample = next(iter(store._dataset))
+        blocks = store.blocks(sample)
         # The block just built must stay resident for the caller.
-        assert store._samples  # not evicted out from under us
+        assert region_memo(sample.regions).blocks[BIN] is blocks
 
     def test_mapped_blocks_are_never_charged(self, tmp_path):
         dataset = make_dataset()
@@ -315,7 +316,7 @@ class TestResidencyLedger:
             builder.blocks(sample)
         ledger = reset_residency_ledger(None)
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
-        for sample in dataset:
+        for sample in fresh._dataset:
             fresh.blocks(sample)
         assert fresh.blocks_mapped > 0
         assert ledger.resident_bytes() == 0
