@@ -12,10 +12,8 @@ Subcommands::
         [--chaos SPEC]
     python -m repro check QUERY.gmql [--source NAME=DIR] [--strict] \
         [--effects] [--format json|sarif]
-    python -m repro check --bench-scenarios --strict
     python -m repro explain QUERY.gmql
     python -m repro explain QUERY.gmql --analyze --source ENCODE=./encode_dir
-    python -m repro bench --scale smoke --out benchmarks/BENCH_pr10.json
     python -m repro serve --source ENCODE=./encode_dir --port 8765 \
         --engine auto [--max-concurrency N] [--tenant-quota NAME=SPEC]
     python -m repro info DATASET_DIR
@@ -161,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rules", action="store_true",
         help="list the rule catalogue (codes and descriptions) and exit",
     )
-    check_cmd.add_argument(
-        "--bench-scenarios", action="store_true",
-        help="check every benchmark-embedded scenario program instead of "
-             "a program file (the CI gate over repro.bench.PROGRAMS)",
-    )
 
     explain_cmd = commands.add_parser(
         "explain",
@@ -194,79 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None, metavar="DIR",
         help="persistent columnar store root for --analyze runs "
              "(default: REPRO_STORE_DIR)",
-    )
-
-    bench_cmd = commands.add_parser(
-        "bench",
-        help="run the section-2 MAP/JOIN/COVER benchmark matrix across "
-             "engines and write a BENCH JSON document",
-    )
-    bench_cmd.add_argument(
-        "--out", default="benchmarks/BENCH_pr10.json",
-        help="output JSON path (default: benchmarks/BENCH_pr10.json)",
-    )
-    bench_cmd.add_argument(
-        "--scale", default="smoke",
-        choices=("tiny", "smoke", "medium", "full"),
-        help="data size (default: smoke; medium exercises the "
-             "JOIN/MAP kernels and shared-memory fan-out)",
-    )
-    bench_cmd.add_argument(
-        "--scenarios", default=None, metavar="NAMES",
-        help="comma-separated scenario subset "
-             "(map,map_avg,map_max,join,join_md1,join_up,cover,"
-             "flat_summit,histogram)",
-    )
-    bench_cmd.add_argument(
-        "--engines", default=None, metavar="NAMES",
-        help="comma-separated variant subset (naive,columnar,auto,"
-             "parallel,store-persisted,sharded)",
-    )
-    bench_cmd.add_argument(
-        "--variant", default=None, metavar="NAMES",
-        help="alias for --engines (the sharded cluster variant is "
-             "usually selected this way)",
-    )
-    bench_cmd.add_argument(
-        "--nodes", default="1,2,4", metavar="COUNTS",
-        help="comma-separated cluster sizes for the sharded variant "
-             "(default: 1,2,4)",
-    )
-    bench_cmd.add_argument(
-        "--repeat", type=_positive_int, default=3, metavar="N",
-        help="runs per variant; the first is cold, the rest warm "
-             "(default: 3)",
-    )
-    bench_cmd.add_argument(
-        "--cold-repeat", type=_positive_int, default=1, metavar="N",
-        help="independent cold runs per variant (fresh sources, cleared "
-             "caches); the minimum is reported, steadying cold ratios "
-             "against scheduler noise (default: 1)",
-    )
-    bench_cmd.add_argument(
-        "--bin-size", type=_positive_int, default=None, metavar="BP",
-        help="zone-map bin size in base pairs "
-             "(default: REPRO_BIN_SIZE or the store default)",
-    )
-    bench_cmd.add_argument(
-        "--workers", type=_positive_int, default=None, metavar="N",
-        help="worker processes for the parallel variant",
-    )
-    bench_cmd.add_argument("--seed", type=_positive_int, default=42,
-                           help="data generation seed (default: 42)")
-    bench_cmd.add_argument(
-        "--clients", type=_positive_int, default=None, metavar="N",
-        help="also run the concurrent-clients serving scenario with N "
-             "client threads against a warm in-process query server, "
-             "compared to one cold `repro run` subprocess per query",
-    )
-    bench_cmd.add_argument(
-        "--client-requests", type=_positive_int, default=6, metavar="M",
-        help="requests issued by each serving-bench client (default: 6)",
-    )
-    bench_cmd.add_argument(
-        "--serve-engine", default="auto",
-        help="backend the serving scenario's server runs (default: auto)",
     )
 
     serve_cmd = commands.add_parser(
@@ -390,9 +310,13 @@ def _run_with_chaos(args, injector) -> int:
     from repro.engine.dispatch import get_backend
     from repro.formats import write_dataset
     from repro.gmql.lang import Interpreter, compile_program, optimize
-
+    from repro.store.columnar import store_counters
     from repro.store.persist import set_store_root
 
+    # Block accounting is a delta of the process-wide counters, which
+    # also see the stores of derived datasets; no reset, so a process
+    # embedding the CLI keeps its own totals.
+    counters_before = store_counters()
     if args.store_dir:
         # Synchronous persistence: a CLI process is short-lived, so a
         # background persist thread could die mid-write (the atomic
@@ -456,16 +380,19 @@ def _run_with_chaos(args, injector) -> int:
             for name in sorted(by_backend):
                 print(f"    {name:<10} {by_backend[name] * 1000:8.1f} ms")
         if args.store_dir:
-            totals = {"blocks_built": 0, "blocks_mapped": 0,
-                      "blocks_evicted": 0, "resident_bytes": 0}
-            for dataset in sources.values():
-                for key, value in dataset.store_stats().items():
-                    totals[key] += value
+            moved = {
+                key: value - counters_before[key]
+                for key, value in store_counters().items()
+            }
+            resident = sum(
+                dataset.store_stats()["resident_bytes"]
+                for dataset in sources.values()
+            )
             print(
-                f"  persistent store: {totals['blocks_mapped']} block "
-                f"set(s) mapped, {totals['blocks_built']} built, "
-                f"{totals['blocks_evicted']} evicted, "
-                f"{totals['resident_bytes']:,} resident bytes"
+                f"  persistent store: {moved['blocks_mapped']} block "
+                f"set(s) mapped, {moved['blocks_built']} built, "
+                f"{moved['blocks_evicted']} evicted, "
+                f"{resident:,} resident bytes"
             )
     if args.trace:
         print()
@@ -599,37 +526,34 @@ def _command_explain(args) -> int:
     return 0
 
 
-def _sarif_document(entries: list) -> dict:
-    """Minimal SARIF 2.1.0 document over ``(artifact, Analysis)`` pairs,
+def _sarif_document(artifact: str, analysis) -> dict:
+    """Minimal SARIF 2.1.0 document over one program's ``Analysis``,
     shaped for GitHub code-scanning upload."""
     from repro.gmql.lang.semantics import RULES
 
     results = []
     seen_rules: dict = {}
-    for artifact, analysis in entries:
-        uri = "stdin" if artifact == "-" else artifact
-        for diag in analysis.diagnostics:
-            seen_rules[diag.code] = RULES.get(diag.code, "")
-            location = {
-                "physicalLocation": {
-                    "artifactLocation": {"uri": uri},
-                }
+    uri = "stdin" if artifact == "-" else artifact
+    for diag in analysis.diagnostics:
+        seen_rules[diag.code] = RULES.get(diag.code, "")
+        location = {
+            "physicalLocation": {
+                "artifactLocation": {"uri": uri},
             }
-            if diag.span is not None:
-                location["physicalLocation"]["region"] = {
-                    "startLine": diag.span.line,
-                    "startColumn": diag.span.column,
-                }
-            results.append(
-                {
-                    "ruleId": diag.code,
-                    "level": (
-                        "error" if diag.severity == "error" else "warning"
-                    ),
-                    "message": {"text": diag.message},
-                    "locations": [location],
-                }
-            )
+        }
+        if diag.span is not None:
+            location["physicalLocation"]["region"] = {
+                "startLine": diag.span.line,
+                "startColumn": diag.span.column,
+            }
+        results.append(
+            {
+                "ruleId": diag.code,
+                "level": "error" if diag.severity == "error" else "warning",
+                "message": {"text": diag.message},
+                "locations": [location],
+            }
+        )
     return {
         "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
         "version": "2.1.0",
@@ -664,38 +588,26 @@ def _command_check(args) -> int:
         for code in sorted(RULES):
             print(f"{code}  {RULES[code]}")
         return 0
-    if args.bench_scenarios:
-        from repro.bench import PROGRAMS
-
-        entries = [
-            (f"bench:{name}", analyze_program(text, effects=args.effects))
-            for name, text in sorted(PROGRAMS.items())
-        ]
-    else:
-        if args.program is None:
-            print(
-                "error: a program path is required "
-                "(or --rules / --bench-scenarios)",
-                file=sys.stderr,
-            )
-            return EXIT_EXECUTION
-        program = _read_program(args.program)
-        sources = _load_sources(args.source)
-        try:
-            analysis = analyze_program(
-                program, datasets=sources or None, effects=args.effects
-            )
-        except GmqlSyntaxError as exc:
-            if args.format == "json":
-                print(json.dumps(
-                    {"ok": False, "syntax_error": str(exc)}, indent=2
-                ))
-            else:
-                print(f"syntax error: {exc}", file=sys.stderr)
-            return EXIT_SYNTAX
-        entries = [(args.program, analysis)]
-    errors = [d for __, a in entries for d in a.errors()]
-    warnings = [d for __, a in entries for d in a.warnings()]
+    if args.program is None:
+        print("error: a program path is required (or --rules)",
+              file=sys.stderr)
+        return EXIT_EXECUTION
+    program = _read_program(args.program)
+    sources = _load_sources(args.source)
+    try:
+        analysis = analyze_program(
+            program, datasets=sources or None, effects=args.effects
+        )
+    except GmqlSyntaxError as exc:
+        if args.format == "json":
+            print(json.dumps(
+                {"ok": False, "syntax_error": str(exc)}, indent=2
+            ))
+        else:
+            print(f"syntax error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
+    errors = analysis.errors()
+    warnings = analysis.warnings()
     failed = bool(errors) or (args.strict and bool(warnings))
     if args.format == "json":
         print(json.dumps(
@@ -703,65 +615,18 @@ def _command_check(args) -> int:
                 "ok": not failed,
                 "errors": len(errors),
                 "warnings": len(warnings),
-                "diagnostics": [
-                    d.to_dict() for __, a in entries for d in a.diagnostics
-                ],
+                "diagnostics": [d.to_dict() for d in analysis.diagnostics],
             },
             indent=2,
         ))
     elif args.format == "sarif":
-        print(json.dumps(_sarif_document(entries), indent=2))
+        print(json.dumps(_sarif_document(args.program, analysis), indent=2))
+    elif analysis.diagnostics:
+        print(analysis.render())
+        print(f"{len(errors)} error(s), {len(warnings)} warning(s)")
     else:
-        any_findings = False
-        for artifact, analysis in entries:
-            if not analysis.diagnostics:
-                continue
-            if len(entries) > 1:
-                print(f"-- {artifact} --")
-            print(analysis.render())
-            any_findings = True
-        if any_findings:
-            print(f"{len(errors)} error(s), {len(warnings)} warning(s)")
-        else:
-            print("ok: no findings")
+        print("ok: no findings")
     return EXIT_SEMANTIC if failed else 0
-
-
-def _command_bench(args) -> int:
-    from repro.bench import render_summary, run_bench, write_bench
-
-    scenarios = (
-        tuple(name.strip() for name in args.scenarios.split(",") if name.strip())
-        if args.scenarios
-        else None
-    )
-    selected = args.engines or args.variant
-    variants = (
-        tuple(name.strip() for name in selected.split(",") if name.strip())
-        if selected
-        else None
-    )
-    nodes = tuple(
-        int(count.strip()) for count in args.nodes.split(",") if count.strip()
-    )
-    document = run_bench(
-        scale=args.scale,
-        scenarios=scenarios,
-        variants=variants,
-        repeat=args.repeat,
-        bin_size=args.bin_size,
-        workers=args.workers,
-        seed=args.seed,
-        cold_repeat=args.cold_repeat,
-        nodes=nodes,
-        clients=args.clients,
-        client_requests=args.client_requests,
-        serve_engine=args.serve_engine,
-    )
-    write_bench(document, args.out)
-    print(render_summary(document))
-    print(f"\nwritten to {args.out}")
-    return 0
 
 
 def _command_serve(args) -> int:
@@ -894,7 +759,6 @@ _HANDLERS = {
     "run": _command_run,
     "check": _command_check,
     "explain": _command_explain,
-    "bench": _command_bench,
     "serve": _command_serve,
     "info": _command_info,
     "convert": _command_convert,

@@ -189,7 +189,7 @@ class ExecutionContext:
         Whether the interpreter may serve plan nodes from the
         process-wide fingerprint result cache; defaults to the
         ``REPRO_RESULT_CACHE_ENABLED`` environment variable (off when
-        unset -- the CLI and the bench harness turn it on explicitly).
+        unset -- the CLI and the query server turn it on explicitly).
     config:
         Free-form engine options (forwarded to backends untouched).
     clock:

@@ -1,9 +1,9 @@
 """A local sharded cluster: worker-process nodes plus a sharded client.
 
 :class:`LocalCluster` is the one-call harness behind ``repro run
---federate N`` and the sharded bench variant: it spawns *N* federation
-nodes as real OS processes (each with its own catalog, staging area and
--- optionally -- persistent store root), partitions every source dataset
+--federate N``: it spawns *N* federation nodes as real OS processes
+(each with its own catalog, staging area and -- optionally --
+persistent store root), partitions every source dataset
 into chromosome-group shards across them, and fronts the lot with a
 :class:`~repro.federation.planner.FederatedClient` whose
 :meth:`~repro.federation.planner.FederatedClient.run_sharded` does

@@ -1,11 +1,11 @@
 """Content digests over materialised query results.
 
 One digest definition shared by every consumer that makes a
-byte-identity claim: the ``repro bench`` harness compares engine
-variants with it, the sharded cluster bench compares merged partials
-against single-node runs, and the query server returns it with every
-response so clients (and the CI smoke gate) can hold served results to
-the single-shot CLI bar without shipping the rows twice.
+byte-identity claim: the differential tests compare executors with
+it, the ``perf/`` benchmark pins golden results with it, and the query
+server returns it with every response so clients (and the CI smoke
+gate) can hold served results to the single-shot CLI bar without
+shipping the rows twice.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ throws the warm state away.  This package keeps it resident:
 * :class:`~repro.serve.server.QueryServer` -- the asyncio HTTP/JSON
   front end (``repro serve``);
 * :class:`~repro.serve.client.ServeClient` -- a small keep-alive client
-  used by tests, the bench harness and the CI smoke gate.
+  used by tests, the ``perf/`` benchmark and the CI smoke gate.
 
 See ``docs/SERVING.md`` for endpoints, tenancy and the warm-state
 lifecycle.

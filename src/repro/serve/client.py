@@ -1,8 +1,8 @@
 """A small keep-alive HTTP client for the query server.
 
 Built on :mod:`http.client` (stdlib, blocking) because its consumers --
-the test-suite, the bench harness's client threads and the CI smoke
-gate -- are synchronous; one :class:`ServeClient` per thread, one
+the test-suite, the ``perf/`` benchmark's client threads and the CI
+smoke gate -- are synchronous; one :class:`ServeClient` per thread, one
 persistent connection per client, mirroring how a real service client
 would amortise connection setup across a session of queries.
 """

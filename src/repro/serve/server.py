@@ -23,8 +23,9 @@ POST      /query        admit, schedule and execute one GMQL program
 ========  ============  =================================================
 
 :class:`ServerThread` runs the whole stack on a private event loop in a
-daemon thread, which is how the test-suite, the bench harness and the CI
-smoke gate embed a live server in an otherwise synchronous process.
+daemon thread, which is how the test-suite, the ``perf/`` benchmark and
+the CI smoke gate embed a live server in an otherwise synchronous
+process.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ class QueryServer:
 class ServerThread:
     """A :class:`QueryServer` on a private event loop in a daemon thread.
 
-    Synchronous embedders (tests, the bench harness, the smoke gate)
+    Synchronous embedders (tests, the benchmark, the smoke gate)
     enter via :meth:`start`, which blocks until the listener is bound
     and exposes the ephemeral port; :meth:`stop` runs the full graceful
     shutdown on the loop and joins the thread.  Context-manager use

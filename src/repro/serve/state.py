@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.engine.dispatch import get_backend
 from repro.resilience.clock import monotonic, perf_counter
+from repro.store.columnar import store_counters
 
 #: Compiled programs kept resident (least recently used evicted first).
 #: A compiled program is a few kilobytes of plan nodes; this is sized so
@@ -183,14 +184,17 @@ class WarmState:
     # -- observability / lifecycle -----------------------------------------------
 
     def stats(self) -> dict:
-        """Warm-state snapshot for ``GET /stats``."""
-        store_totals = {
-            "blocks_built": 0, "blocks_mapped": 0,
-            "blocks_evicted": 0, "resident_bytes": 0,
-        }
-        for dataset in self.sources.values():
-            for key, value in dataset.store_stats().items():
-                store_totals[key] += value
+        """Warm-state snapshot for ``GET /stats``.
+
+        Block counts are the cumulative process-wide counters, so blocks
+        built or mapped for derived datasets count too;
+        ``resident_bytes`` is a gauge over the resident sources.
+        """
+        store_totals = store_counters()
+        store_totals["resident_bytes"] = sum(
+            dataset.store_stats()["resident_bytes"]
+            for dataset in self.sources.values()
+        )
         return {
             "engine": self.engine,
             "uptime_seconds": monotonic() - self.started_at,

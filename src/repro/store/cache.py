@@ -11,7 +11,7 @@ The cache is content-addressed: source-dataset digests (see
 :meth:`repro.store.columnar.DatasetStore.digest`) anchor every
 fingerprint, so editing a dataset changes the key and stale results are
 never served.  Hit/miss/eviction counters feed ``ExecutionContext``
-metrics, ``repro explain --analyze`` and the ``repro bench`` harness.
+metrics, ``repro explain --analyze`` and the server's ``/stats``.
 
 With a *directory* configured (``REPRO_RESULT_CACHE_DIR``, defaulting to
 ``<store root>/results`` when a persistent store root is active) every
@@ -235,7 +235,7 @@ class ResultCache:
             self.disk_stores = 0
 
     def stats(self) -> dict:
-        """Plain-dict counter snapshot (bench/CLI reporting)."""
+        """Plain-dict counter snapshot (CLI and server reporting)."""
         with self._lock:
             return {
                 "entries": len(self._entries),

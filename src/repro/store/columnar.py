@@ -51,9 +51,10 @@ _STRAND = attrgetter("strand")
 #: Individual stores live on (possibly short-lived) derived datasets --
 #: a COVER over a region SELECT's result builds its blocks through the
 #: SELECT output's store, which is garbage once the query returns -- so
-#: observers that only see the source datasets (the bench harness,
-#: ``repro info``) would under-count.  These totals survive the stores
-#: that fed them.
+#: summing the stores of the source datasets would under-count.  These
+#: totals survive the stores that fed them: ``repro run --stats`` reports
+#: their delta over the run and the server's ``/stats`` their running
+#: total.
 _PROCESS_COUNTERS = {
     "blocks_built": 0,
     "blocks_mapped": 0,
@@ -62,7 +63,7 @@ _PROCESS_COUNTERS = {
 
 
 def reset_store_counters() -> None:
-    """Zero the process-wide block counters (bench/test isolation)."""
+    """Zero the process-wide block counters (test/benchmark isolation)."""
     for name in _PROCESS_COUNTERS:
         _PROCESS_COUNTERS[name] = 0
 
@@ -783,7 +784,7 @@ class DatasetStore:
         self._persisted_checked = False
         self._persist_thread = None
         self._union_evictions = 0
-        #: Blocks materialised in memory so far (observability / bench).
+        #: Blocks materialised in memory so far (observability).
         self.blocks_built = 0
         #: Blocks served as memory-mapped segment views.
         self.blocks_mapped = 0
@@ -980,7 +981,7 @@ class DatasetStore:
         return total
 
     def stats(self) -> dict:
-        """Observability snapshot for bench reporting and ``repro info``."""
+        """Observability snapshot of this store's blocks and residency."""
         persisted = self._persisted_store()
         return {
             "blocks_built": self.blocks_built,

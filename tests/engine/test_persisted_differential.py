@@ -7,7 +7,10 @@ built, persisted, then *re-served from memory-mapped segments by a
 second run* -- must be byte-identical to the plain in-memory path, on
 every engine.  The second run is forced onto the persisted segments by
 using a fresh dataset object (same content, new identity), so nothing
-can leak through the per-dataset store memo.
+can leak through the per-dataset store memo.  Block accounting reads
+the process-wide counters, which also see the stores of derived
+datasets (a COVER over a region SELECT's output never touches a source
+store).
 """
 
 import shutil
@@ -19,12 +22,16 @@ from hypothesis import strategies as st
 
 from repro.engine.context import ExecutionContext
 from repro.gdm import Dataset, GenomicRegion, Metadata, RegionSchema, Sample
+from repro.gdm.digest import results_digest
 from repro.gmql.lang import execute
+from repro.store.columnar import reset_store_counters, store_counters
 from repro.store.persist import (
     close_opened_segments,
     reset_residency_ledger,
     set_store_root,
 )
+from tests.section2 import PROGRAMS as SECTION2_PROGRAMS
+from tests.section2 import smoke_sources
 
 BIN = 64  # small bin size so spanning/edge cases actually cross bins
 
@@ -107,15 +114,10 @@ def run_persisted(left_spec, right_spec, engine):
         cold = rows(run(make_dataset(left_spec, right_spec), engine))
         # A fresh dataset object with identical content: its store must
         # come entirely from the persisted segments.
-        remap = make_dataset(left_spec, right_spec)
-        warm = rows(run(remap, engine))
-        mapped = sum(
-            store.blocks_mapped for store in remap._stores.values()
-        )
-        built = sum(
-            store.blocks_built for store in remap._stores.values()
-        )
-        return cold, warm, mapped, built
+        reset_store_counters()
+        warm = rows(run(make_dataset(left_spec, right_spec), engine))
+        counters = store_counters()
+        return cold, warm, counters["blocks_mapped"], counters["blocks_built"]
     finally:
         set_store_root(None)
         close_opened_segments()
@@ -136,6 +138,24 @@ def test_persisted_store_matches_in_memory(left_spec, right_spec, engine):
     if engine != "naive":   # the naive engine never consults the store
         assert mapped > 0
         assert built == 0
+
+
+@pytest.mark.parametrize("name", sorted(SECTION2_PROGRAMS))
+def test_section2_rerun_maps_every_block_from_the_store(name, tmp_path):
+    # Run 1 builds and synchronously persists every block set the
+    # program touches, derived operands included; run 2 over freshly
+    # generated sources (same seed, new objects) must map them all.
+    program = SECTION2_PROGRAMS[name]
+    set_store_root(str(tmp_path), sync=True)
+    cold = execute(program, smoke_sources(), engine="columnar",
+                   context=ExecutionContext(result_cache=False))
+    reset_store_counters()
+    warm = execute(program, smoke_sources(), engine="columnar",
+                   context=ExecutionContext(result_cache=False))
+    counters = store_counters()
+    assert counters["blocks_built"] == 0
+    assert counters["blocks_mapped"] > 0
+    assert results_digest(warm) == results_digest(cold)
 
 
 def test_parallel_persisted_matches_naive_on_boundary_cases():

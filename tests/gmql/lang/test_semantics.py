@@ -4,7 +4,8 @@ The golden corpus (``test_checks_corpus.py``) pins each rule's code,
 span and message; this file covers the analyzer's *inference* output
 (what schema/strandedness each operator produces), the optimizer's
 empty-plan pruning, the guarantee that error-severity programs never
-reach the engine, and a property over arbitrary generated programs.
+reach the engine, the paper's section-2 query shapes passing strict
+analysis, and a property over arbitrary generated programs.
 """
 
 from pathlib import Path
@@ -28,6 +29,7 @@ from repro.gmql.lang.compiler import Compiler
 from repro.gmql.lang.parser import parse
 from repro.gmql.lang.physical import plan_program
 from repro.gmql.lang.plan import EmptyPlan
+from tests.section2 import PROGRAMS as SECTION2_PROGRAMS
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 HEADLINE_QUERY = REPO_ROOT / "examples" / "queries" / "chipseq_overview.gmql"
@@ -195,6 +197,15 @@ class TestHeadlineQuery:
             HEADLINE_QUERY.read_text(), datasets={"CHIP": chip}
         )
         assert analysis.diagnostics == ()
+
+
+class TestSection2Programs:
+    @pytest.mark.parametrize("name", sorted(SECTION2_PROGRAMS))
+    @pytest.mark.parametrize("effects", [False, True])
+    def test_clean_under_strict_analysis(self, name, effects):
+        analysis = analyze_program(SECTION2_PROGRAMS[name], effects=effects)
+        assert analysis.errors() == ()
+        assert analysis.warnings() == ()
 
 
 class TestFingerprintStability:

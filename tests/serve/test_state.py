@@ -1,5 +1,7 @@
-"""WarmState bounds: the compiled-program LRU and the pool-size report."""
+"""WarmState bounds and reports: the compiled-program LRU, the pool size
+and the store block counters."""
 
+from repro.gmql.lang import execute
 from repro.serve import state as state_mod
 from repro.serve.state import WarmState
 
@@ -38,3 +40,20 @@ def test_pool_workers_reports_the_created_size():
     finally:
         state.close()
     assert state.stats()["pool_workers"] == 0
+
+
+def test_store_stats_count_blocks_of_derived_datasets():
+    # The COVER builds its blocks on the region SELECT's output, a
+    # derived dataset no source store knows about.
+    state = WarmState(make_sources(), engine="columnar")
+    state.warm()
+    before = state.stats()["store"]
+    execute(
+        "R = SELECT(region: left > 40) EXP; C = COVER(1, ANY) R; "
+        "MATERIALIZE C;",
+        state.sources,
+        engine="columnar",
+    )
+    after = state.stats()["store"]
+    assert after["blocks_built"] > before["blocks_built"]
+    assert after["resident_bytes"] == before["resident_bytes"]

@@ -63,6 +63,35 @@ class TestRun:
         assert "SELECT" in out
         assert "total kernel time" in out
 
+    def test_stats_count_blocks_of_derived_datasets(self, capsys, tmp_path,
+                                                    encode_dir):
+        # The COVER runs over the region SELECT's output, whose blocks
+        # belong to a derived dataset's store, not to ENCODE's.
+        from repro.store.columnar import store_counters
+
+        query = tmp_path / "derived.gmql"
+        query.write_text(
+            "R = SELECT(region: p_value < 0.5) ENCODE;\n"
+            "C = COVER(1, ANY) R;\n"
+            "MATERIALIZE C;\n"
+        )
+        before = store_counters()
+        code = main(
+            ["run", str(query), "--source", f"ENCODE={encode_dir}",
+             "--engine", "columnar", "--store-dir", str(tmp_path / "store"),
+             "--stats"]
+        )
+        after = store_counters()
+        assert code == 0
+        out = capsys.readouterr().out
+        built = after["blocks_built"] - before["blocks_built"]
+        mapped = after["blocks_mapped"] - before["blocks_mapped"]
+        assert built > 0
+        assert (
+            f"persistent store: {mapped} block set(s) mapped, {built} built,"
+            in out
+        )
+
     def test_run_columnar_engine(self, capsys, encode_dir, program_file):
         code = main(
             ["run", program_file, "--source", f"ENCODE={encode_dir}",
