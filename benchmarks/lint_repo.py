@@ -23,14 +23,18 @@ RL007     ``time.sleep``/``time.monotonic``/``time.perf_counter``
           outside ``resilience/clock.py``
 RL008     ``os.environ`` read outside a ``*_from_env`` function
 RL009     in-place mutation of a ``.regions`` list under ``src``
+RL010     ``sort``/``sorted`` keyed on ``GenomicRegion.sort_key``
+          under ``src/repro/engine`` (columnar engines order output
+          rows as arrays, ``repro.store.genome_order``; ``naive``
+          delegates to ``gmql/operators``, which may sort objects)
 ========  =======================================================
 
 Checked trees: ``src``, ``tests``, ``benchmarks``.  The golden corpus
 of *intentionally* violating snippets under ``tests/lint/snippets/`` is
 exempt from the sweep (each snippet exists to trip exactly one rule,
 verified by ``tests/lint/test_lint_rules.py``).  A rule may also be
-scoped to some trees only (RL009: ``src`` -- and the corpus, so its
-snippet trips it).
+scoped to some trees only (RL009: ``src``, RL010: ``src/repro/engine``
+-- each also the corpus, so its snippet trips it).
 
 Exits nonzero listing ``path:line: RL0xx message`` for every violation.
 """
@@ -46,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED_TREES = ("src", "tests", "benchmarks")
 SRC_DIR = ROOT / "src"
+ENGINE_DIR = ROOT / "src" / "repro" / "engine"
 SNIPPET_DIR = ROOT / "tests" / "lint" / "snippets"
 CLOCK_MODULE = ROOT / "src" / "repro" / "resilience" / "clock.py"
 SHM_MODULE = ROOT / "src" / "repro" / "store" / "shm.py"
@@ -223,6 +228,37 @@ def _check_region_mutation(rel, node, enclosing):
                 yield (node.lineno, message)
 
 
+def _calls_sort_key(node) -> bool:
+    """``<anything>.sort_key``, or a lambda calling ``<x>.sort_key()``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "sort_key"
+    return isinstance(node, ast.Lambda) and any(
+        isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Attribute)
+        and inner.func.attr == "sort_key"
+        for inner in ast.walk(node.body)
+    )
+
+
+def _check_region_sort_key(rel, node, enclosing):
+    if not isinstance(node, ast.Call):
+        return
+    func = node.func
+    is_sort = (isinstance(func, ast.Name) and func.id == "sorted") or (
+        isinstance(func, ast.Attribute) and func.attr == "sort"
+    )
+    if is_sort and any(
+        keyword.arg == "key" and _calls_sort_key(keyword.value)
+        for keyword in node.keywords
+    ):
+        yield (
+            node.lineno,
+            "rows sorted by GenomicRegion.sort_key in an engine -- order "
+            "the output columns with repro.store.genome_order and build "
+            "regions once, in final order",
+        )
+
+
 @dataclass(frozen=True)
 class Rule:
     """One table row: a stable code, a per-node checker, its scope."""
@@ -255,6 +291,8 @@ RULES: tuple = (
          _check_environ),
     Rule("RL009", "in-place mutation of a .regions list under src/",
          _check_region_mutation, only_under=(SRC_DIR, SNIPPET_DIR)),
+    Rule("RL010", "sort keyed on GenomicRegion.sort_key under engine/",
+         _check_region_sort_key, only_under=(ENGINE_DIR, SNIPPET_DIR)),
 )
 
 #: Codes handled outside the per-node table (parse + repo-level checks).

@@ -22,7 +22,10 @@ rebuilding coordinate arrays from region objects on every operator:
   the vectorised pair kernel (:func:`repro.store.join_pairs`):
   ``searchsorted`` candidate windows, strand-aware stream masks, and a
   per-anchor nearest-k selection, with zone-map pruning of anchor
-  chromosomes the experiment provably cannot reach;
+  chromosomes the experiment provably cannot reach; output coordinates
+  and strands are computed as arrays and put in genome order by one
+  stable lexsort (:func:`repro.store.genome_order`), so each output
+  region is built once, already in place;
 * **COVER/FLAT/SUMMIT/HISTOGRAM** -- the whole accumulation family is
   served from one event-sweep kernel
   (:mod:`repro.store.cover_kernels`): per chromosome, the persisted
@@ -57,6 +60,8 @@ encodings share their front end.
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,8 +84,10 @@ from repro.gmql.predicates import (
     RegionOr,
 )
 from repro.store.columnar import (
+    chromosome_ranks,
     count_morsels,
     depth_segments,
+    genome_order,
     live_block_pairs,
     overlap_counts,
     region_column,
@@ -468,34 +475,124 @@ def pair_group_columns(
     ]
 
 
-def join_emitter(merged, output: str):
-    """The JOIN output-region constructor for one (merged schema, output).
+#: Strand symbol of each :data:`repro.store.STRAND_CODES` code (``-1``
+#: indexes from the end).
+_STRAND_SYMBOLS = np.array(["*", "+", "-"], dtype=object)
+_LEFT = attrgetter("left")
+_RIGHT = attrgetter("right")
 
-    Returns ``emit(anchor_region, experiment_region, gap) -> region | None``
-    implementing the LEFT/RIGHT/INT/CAT coordinate options with the
-    naive operator's strand-combination rules.
+
+def join_ends(output: str, anchor: tuple, experiment: tuple,
+              larger, smaller) -> tuple:
+    """``(lefts, rights)`` of JOIN output rows under one output option.
+
+    The naive operator's LEFT/RIGHT/INT/CAT options over the paired
+    rows' ``(lefts, rights)``: *anchor* and *experiment* are numpy
+    columns with ``np.maximum``/``np.minimum`` as *larger*/*smaller*,
+    or iterables of Python ints with elementwise ``max``/``min``.  For
+    INT the caller drops rows with ``rights <= lefts``.
     """
-    from repro.gmql.operators.join import _combine_strand
+    (a_lefts, a_rights), (e_lefts, e_rights) = anchor, experiment
+    if output == "LEFT":
+        return a_lefts, a_rights
+    if output == "RIGHT":
+        return e_lefts, e_rights
+    if output == "INT":
+        return larger(a_lefts, e_lefts), smaller(a_rights, e_rights)
+    return smaller(a_lefts, e_lefts), larger(a_rights, e_rights)
 
-    def emit(a, b, gap):
-        values = merged.combine(a.values, b.values) + (gap,)
-        if output == "LEFT":
-            return GenomicRegion(a.chrom, a.left, a.right, a.strand, values)
-        if output == "RIGHT":
-            return GenomicRegion(b.chrom, b.left, b.right, b.strand, values)
-        if output == "INT":
-            left = max(a.left, b.left)
-            right = min(a.right, b.right)
-            if right <= left:
-                return None
-            return GenomicRegion(a.chrom, left, right,
-                                 _combine_strand(a, b), values)
-        return GenomicRegion(
-            a.chrom, min(a.left, b.left), max(a.right, b.right),
-            _combine_strand(a, b), values,
+
+def join_strands(output: str, a_strands, e_strands):
+    """Strand codes of JOIN output rows.
+
+    LEFT/RIGHT keep their side's; INT/CAT combine like the naive
+    ``_combine_strand`` -- equal strands stay, an unstranded side yields
+    the other, opposite strands become unstranded -- which over codes in
+    ``{-1, 0, 1}`` is the sign of their sum.
+    """
+    if output == "LEFT":
+        return a_strands
+    if output == "RIGHT":
+        return e_strands
+    return np.sign(a_strands + e_strands)
+
+
+def join_regions(
+    merged, output: str, tasks, anchor_regions, exp_regions
+) -> list:
+    """One sample pair's JOIN output regions, built once in genome order.
+
+    *tasks* are the pair's ``(a_block, e_block, handle)`` pieces, each
+    handle yielding :func:`repro.store.join_pairs` triples.  Output
+    coordinates and strands are computed as arrays from the block
+    columns and ordered by the stable :func:`repro.store.genome_order`,
+    which reproduces the naive operator's genome-order sort tie for
+    tie: the naive operator enumerates anchor by anchor, each anchor's
+    candidates in kernel order, so rows with equal keys are ranked by
+    anchor position and then by piece order.  Only then is each region
+    built, its values laid out by ``merged.combine`` and its ends taken
+    from the paired regions' own int objects, as the naive operator
+    takes them -- a cached result would otherwise hold a second copy of
+    every coordinate.
+    """
+    chroms, counts, parts = [], [], []
+    for a_block, e_block, task in tasks:
+        a_rows, e_pos, gaps = task.result()
+        e_rows = e_block.left_order[e_pos]
+        lefts, rights = join_ends(
+            output,
+            (a_block.starts[a_rows], a_block.stops[a_rows]),
+            (e_block.starts[e_rows], e_block.stops[e_rows]),
+            np.maximum, np.minimum,
         )
-
-    return emit
+        strands = join_strands(
+            output, a_block.strands[a_rows], e_block.strands[e_rows]
+        )
+        a_index, e_index = a_block.index[a_rows], e_block.index[e_rows]
+        if output == "INT":
+            keep = rights > lefts
+            lefts, rights, strands = lefts[keep], rights[keep], strands[keep]
+            a_index, e_index, gaps = a_index[keep], e_index[keep], gaps[keep]
+        if lefts.size:
+            chroms.append(a_block.chrom)
+            counts.append(lefts.size)
+            parts.append((lefts, rights, strands, a_index, e_index, gaps))
+    if not parts:
+        return []
+    lefts, rights, strands, a_index, e_index, gaps = (
+        np.concatenate(column) for column in zip(*parts)
+    )
+    chrom_ids = np.repeat(np.arange(len(chroms)), counts)
+    # Anchor position only reorders ties across chromosomes whose sort
+    # keys tie (``chr1``/``chr01``): within a piece it never decreases.
+    order = genome_order(
+        chromosome_ranks(chroms)[chrom_ids], lefts, rights, strands,
+        ties=a_index,
+    )
+    a_regions = [anchor_regions[i] for i in a_index[order].tolist()]
+    e_regions = [exp_regions[i] for i in e_index[order].tolist()]
+    lefts, rights = join_ends(
+        output,
+        (map(_LEFT, a_regions), map(_RIGHT, a_regions)),
+        (map(_LEFT, e_regions), map(_RIGHT, e_regions)),
+        partial(map, max), partial(map, min),
+    )
+    combine = merged.combine
+    return [
+        GenomicRegion(
+            chrom, left, right, strand,
+            combine(a.values, e.values) + (gap,),
+        )
+        for chrom, left, right, strand, a, e, gap in zip(
+            np.array(chroms, dtype=object)[chrom_ids[order]].tolist(),
+            lefts,
+            rights,
+            _STRAND_SYMBOLS[strands[order]].tolist(),
+            a_regions,
+            e_regions,
+            gaps[order].tolist(),
+        )
+    ]
 
 
 # -- array kernels: the unit of work an executor runs -------------------------
@@ -864,7 +961,6 @@ class ColumnarBackend(NaiveBackend):
 
             merged = anchor.schema.merge(experiment.schema)
             schema = merged.schema.extend(AttributeDef("dist", INT))
-            emit = join_emitter(merged, plan.output)
             anchor_store, exp_store = self._pair_stores(anchor, experiment)
             # Anchor chromosomes the experiment provably cannot reach are
             # pruned: the DLE window is widened by one because DLE
@@ -897,27 +993,11 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for (anchor_sample, exp_sample), tasks in zip(pairs, planned):
-                    # Region objects are rehydrated only for emitted pairs.
-                    anchor_regions = anchor_sample.regions
-                    exp_regions = exp_sample.regions
-                    regions = []
-                    for a_block, e_block, task in tasks:
-                        a_rows, e_pos, gaps = task.result()
-                        if a_rows.size == 0:
-                            continue
-                        a_index = a_block.index[a_rows]
-                        e_index = e_block.index[e_block.left_order[e_pos]]
-                        for a_i, e_i, gap in zip(
-                            a_index.tolist(), e_index.tolist(), gaps.tolist()
-                        ):
-                            out = emit(
-                                anchor_regions[a_i], exp_regions[e_i], gap
-                            )
-                            if out is not None:
-                                regions.append(out)
-                    regions.sort(key=GenomicRegion.sort_key)
                     yield (
-                        regions,
+                        join_regions(
+                            merged, plan.output, tasks,
+                            anchor_sample.regions, exp_sample.regions,
+                        ),
                         merged_metadata(anchor_sample, exp_sample),
                         [
                             (anchor.name, anchor_sample.id),

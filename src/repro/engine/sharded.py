@@ -80,7 +80,8 @@ class ShardedBackend(Backend):
         """Chromosome groups shared by the operand datasets, or ``None``.
 
         ``None`` -- run unsharded -- when any operand is not
-        chromosome-clustered (merge order would not be reproducible) or
+        chromosome-clustered or holds two chromosome names whose sort
+        keys tie (either way merge order would not be reproducible), or
         when fewer than two non-empty groups exist (sharding would only
         add overhead).
         """
@@ -106,6 +107,11 @@ class ShardedBackend(Backend):
                 for region in sample.regions:
                     weights[region.chrom] = weights.get(region.chrom, 0) + 1
         if len(weights) < 2:
+            return None
+        if len(set(map(chromosome_sort_key, weights))) < len(weights):
+            # Names whose sort keys tie (``chr1``/``chr01``) have no
+            # genome order between them: merged runs could come back in
+            # another order than one unsharded run emits.
             return None
         if group_count is None:
             # Explicit ``--engine sharded`` with no configured count:

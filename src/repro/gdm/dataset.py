@@ -258,8 +258,7 @@ class Dataset:
     def region_rows(self) -> Iterator[tuple]:
         """Iterate region rows as ``(id, chrom, left, right, strand, v...)``."""
         for sample in self:
-            for region in sample.regions:
-                yield (sample.id, *region)
+            yield from sample.rows()
 
     def metadata_triples(self) -> Iterator[tuple]:
         """Iterate the GDM metadata triples ``(id, attribute, value)``."""

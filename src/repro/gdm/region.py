@@ -16,6 +16,7 @@ is what makes genometric distance predicates well defined.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Iterator
 
 from repro.errors import CoordinateError
@@ -26,11 +27,15 @@ STRANDS = ("+", "-", "*")
 _CHROM_SPLIT = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=4096)
 def chromosome_sort_key(chrom: str) -> tuple:
     """Return a sort key that orders chromosomes naturally.
 
     ``chr2`` sorts before ``chr10``, and numeric chromosomes come before
-    the sex chromosomes, matching genome-browser ordering.
+    the sex chromosomes, matching genome-browser ordering.  Keys are
+    memoised (a genome has few chromosome names, sorts ask once per
+    region); the key is an immutable tuple, so sharing it is safe, and
+    the bound keeps a stream of odd names from growing the cache.
 
     >>> sorted(["chr10", "chr2", "chrX"], key=chromosome_sort_key)
     ['chr2', 'chr10', 'chrX']

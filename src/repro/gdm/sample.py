@@ -88,6 +88,19 @@ class Sample:
         """Regions lying on the given chromosome, in stored order."""
         return [region for region in self.regions if region.chrom == chrom]
 
+    def rows(self) -> Iterator[tuple]:
+        """Iterate the GDM region rows ``(id, chrom, left, right, strand, v...)``.
+
+        Each tuple is built attribute by attribute rather than through
+        :meth:`GenomicRegion.__iter__`: a digest asks for every row of a
+        result, and a generator per region was most of its cost.
+        """
+        sample_id = self.id
+        return (
+            (sample_id, r.chrom, r.left, r.right, r.strand, *r.values)
+            for r in self.regions
+        )
+
     def sorted_regions(self) -> list:
         """Regions in genome order (chromosome, left, right)."""
         return sorted(self.regions, key=GenomicRegion.sort_key)

@@ -273,7 +273,8 @@ class RegionSchema:
 class MergedSchema:
     """Result of :meth:`RegionSchema.merge`: the merged schema plus remappers."""
 
-    __slots__ = ("schema", "_left_positions", "_right_positions")
+    __slots__ = ("schema", "_left_positions", "_right_positions",
+                 "_widths", "_padding", "_right_targets", "_appends")
 
     def __init__(
         self,
@@ -284,6 +285,17 @@ class MergedSchema:
         self.schema = schema
         self._left_positions = left_positions
         self._right_positions = right_positions
+        # The layout :meth:`combine` fills, worked out once: a row whose
+        # tuples have the operands' widths starts as the left tuple
+        # padded with ``None`` (the left positions are the leading
+        # slots), and with no attribute unified the right tuple simply
+        # follows the left one.
+        self._widths = (len(left_positions), len(right_positions))
+        self._padding = (None,) * (len(schema) - len(left_positions))
+        self._right_targets = tuple(enumerate(right_positions))
+        self._appends = (
+            left_positions + right_positions == tuple(range(len(schema)))
+        )
 
     def remap_left(self, values: Sequence[Any]) -> tuple:
         """Lay out a left-operand value tuple in the merged schema."""
@@ -308,8 +320,14 @@ class MergedSchema:
         overwrites the left one (join semantics: the probed region's
         value is the fresher observation).
         """
-        out = list(self.remap_left(left_values))
-        for source, target in enumerate(self._right_positions):
-            if right_values[source] is not None:
-                out[target] = right_values[source]
+        if (len(left_values), len(right_values)) == self._widths:
+            if self._appends:
+                return tuple(left_values) + tuple(right_values)
+            out = [*left_values, *self._padding]
+        else:
+            out = list(self.remap_left(left_values))
+        for source, target in self._right_targets:
+            value = right_values[source]
+            if value is not None:
+                out[target] = value
         return tuple(out)

@@ -51,9 +51,11 @@ from repro.store.columnar import (
     ValueColumn,
     ZoneEntry,
     ZoneMap,
+    chromosome_ranks,
     count_morsels,
     count_overlaps_blocks,
     depth_segments,
+    genome_order,
     live_block_pairs,
     occupied_bins,
     overlap_counts,
@@ -123,12 +125,14 @@ __all__ = [
     "block_cover_columns",
     "cache_capacity_from_env",
     "chrom_cover_rows",
+    "chromosome_ranks",
     "count_morsels",
     "count_overlaps_blocks",
     "coverage_runs",
     "depth_segments",
     "expand_windows",
     "flat_extents",
+    "genome_order",
     "group_cover_parts",
     "group_cover_rows",
     "group_offsets",

@@ -34,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from repro.gdm.region import chromosome_sort_key
 from repro.gdm.sample import RegionList
 from repro.intervals.bins import DEFAULT_BIN_SIZE
 
@@ -42,6 +43,10 @@ from repro.intervals.bins import DEFAULT_BIN_SIZE
 #: join kernels only ever test the sign (see
 #: :func:`repro.intervals.distance.stream_pair_mask`).
 STRAND_CODES = {"+": 1, "-": -1, "*": 0}
+
+#: Rank of each strand code in ``str`` order (``'*' < '+' < '-'``),
+#: indexed by ``code + 1``.
+_STRAND_RANKS = np.array([2, 0, 1], dtype=np.int8)
 
 _LEFT = attrgetter("left")
 _RIGHT = attrgetter("right")
@@ -54,23 +59,70 @@ _STRAND = attrgetter("strand")
 #: summing the stores of the source datasets would under-count.  These
 #: totals survive the stores that fed them: ``repro run --stats`` reports
 #: their delta over the run and the server's ``/stats`` their running
-#: total.
+#: total.  Concurrent queries (server threads, background persists) all
+#: count here, so every access holds :data:`_COUNTERS_LOCK`.
 _PROCESS_COUNTERS = {
     "blocks_built": 0,
     "blocks_mapped": 0,
     "blocks_evicted": 0,
 }
+_COUNTERS_LOCK = threading.Lock()
+
+
+def _count(name: str) -> None:
+    """Add one to a process-wide block counter."""
+    with _COUNTERS_LOCK:
+        _PROCESS_COUNTERS[name] += 1
 
 
 def reset_store_counters() -> None:
     """Zero the process-wide block counters (test/benchmark isolation)."""
-    for name in _PROCESS_COUNTERS:
-        _PROCESS_COUNTERS[name] = 0
+    with _COUNTERS_LOCK:
+        for name in _PROCESS_COUNTERS:
+            _PROCESS_COUNTERS[name] = 0
 
 
 def store_counters() -> dict:
     """Snapshot of the process-wide block counters."""
-    return dict(_PROCESS_COUNTERS)
+    with _COUNTERS_LOCK:
+        return dict(_PROCESS_COUNTERS)
+
+
+def chromosome_ranks(chroms) -> np.ndarray:
+    """Dense natural-order rank of each name in *chroms* (names may repeat).
+
+    Names whose :func:`~repro.gdm.region.chromosome_sort_key` ties
+    (``chr1`` and ``chr01``) share a rank, exactly as a Python sort by
+    that key treats them.
+    """
+    keys = {chrom: chromosome_sort_key(chrom) for chrom in chroms}
+    ranks: dict = {}
+    rank, previous = -1, None
+    for chrom in sorted(keys, key=keys.__getitem__):
+        if keys[chrom] != previous:
+            rank, previous = rank + 1, keys[chrom]
+        ranks[chrom] = rank
+    return np.array([ranks[chrom] for chrom in chroms], dtype=np.int64)
+
+
+def genome_order(
+    chrom_ranks: np.ndarray,
+    lefts: np.ndarray,
+    rights: np.ndarray,
+    strand_codes: np.ndarray,
+    ties: np.ndarray | None = None,
+) -> np.ndarray:
+    """The row permutation a stable sort by ``GenomicRegion.sort_key`` makes.
+
+    Rows are given as columns: *chrom_ranks* from
+    :func:`chromosome_ranks`, coordinates, and :data:`STRAND_CODES`
+    strand codes.  ``np.lexsort`` is stable, so rows with equal keys
+    keep their input order, as they do under ``list.sort`` -- or, given
+    *ties*, are ordered by it first: the way to rank rows by an
+    enumeration order the input order does not follow.
+    """
+    keys = (_STRAND_RANKS[strand_codes + 1], rights, lefts, chrom_ranks)
+    return np.lexsort(keys if ties is None else (ties, *keys))
 
 
 def occupied_bins(
@@ -386,7 +438,7 @@ class RegionMemo:
         """Ledger spill callback: drop the blocks of one bin size."""
         if self.blocks.pop(bin_size, None) is not None:
             self.evictions += 1
-            _PROCESS_COUNTERS["blocks_evicted"] += 1
+            _count("blocks_evicted")
 
 
 _ATTACH_LOCK = threading.Lock()
@@ -811,7 +863,7 @@ class DatasetStore:
         blocks = persisted.sample_blocks(key, n_regions)
         if blocks is not None:
             self.blocks_mapped += 1
-            _PROCESS_COUNTERS["blocks_mapped"] += 1
+            _count("blocks_mapped")
         return blocks
 
     def _schedule_persist(self) -> None:
@@ -862,7 +914,7 @@ class DatasetStore:
         if self._union is not None:
             self._union = None
             self._union_evictions += 1
-            _PROCESS_COUNTERS["blocks_evicted"] += 1
+            _count("blocks_evicted")
 
     # -- block access ---------------------------------------------------------
 
@@ -871,7 +923,7 @@ class DatasetStore:
         from repro.store.persist import residency_ledger
 
         self.blocks_built += 1
-        _PROCESS_COUNTERS["blocks_built"] += 1
+        _count("blocks_built")
         if owner is not None:
             residency_ledger().charge(owner, key, blocks.nbytes())
         self._schedule_persist()

@@ -397,7 +397,23 @@ def group_cover_parts(blocks_list: list, lo: int, variant: str,
             per_chrom.setdefault(chrom, []).append(
                 block_cover_columns(block, variant, with_pairs=prune)
             )
-    for chrom in sorted(per_chrom, key=chromosome_sort_key):
+
+    def first_wide(chrom) -> tuple:
+        # Names whose sort keys tie (``chr1``/``chr01``) come in the
+        # order the naive sweep meets them: by the group's first region
+        # of positive width on each.
+        for position, blocks in enumerate(blocks_list):
+            block = blocks.chroms.get(chrom)
+            if block is not None:
+                wide = np.flatnonzero(block.stops > block.starts)
+                if wide.size:
+                    return (position, int(block.index[wide[0]]))
+        return (len(blocks_list), 0)
+
+    for chrom in sorted(
+        per_chrom,
+        key=lambda chrom: (chromosome_sort_key(chrom), first_wide(chrom)),
+    ):
         parts = per_chrom[chrom]
         if prune:
             parts, pruned = prune_dead_bins(parts, lo, bin_size, variant)

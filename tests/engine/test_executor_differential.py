@@ -18,8 +18,9 @@ same metadata, same order:
 Programs and input strategies are those of
 ``test_join_map_differential.py`` (every genometric clause shape, every
 registered aggregate, zone-grid-straddling and zero-length intervals)
-plus the accumulation family, DIFFERENCE, and MAP / JOIN / COVER over
-derived operands (metadata and region SELECTs).  This file replaces the
+plus the accumulation family, DIFFERENCE, MAP / JOIN / COVER over
+derived operands (metadata and region SELECTs), and JOINs of operands
+with disjoint attribute names.  This file replaces the
 store-on/off property of ``test_store_equivalence.py`` and the
 ``use_shm`` arms of the join/map and float-aggregate suites: the paths
 those compared against no longer exist.
@@ -78,7 +79,24 @@ CV = COVER(1, ANY) Q; MATERIALIZE CV;
 ME = MAP(n AS COUNT, a AS AVG(score)) P E; MATERIALIZE ME;
 """
 
-PROGRAMS = (JOIN_PROGRAM, MAP_PROGRAM, SWEEP_PROGRAM, DERIVED_PROGRAM)
+#: JOINs whose operands share no attribute name, so the merged values
+#: are the left tuple followed by the right one, over all four output
+#: options (``JOIN_PROGRAM``'s operands unify both attributes).
+DISJOINT_JOIN_PROGRAM = """
+A = SELECT(side == 'left') DATA;
+B = SELECT(side == 'right') DATA;
+L = PROJECT(score) A;
+R = PROJECT(hits) B;
+JL = JOIN(DLE(40); output: LEFT) L R; MATERIALIZE JL;
+JR = JOIN(DLE(0); output: RIGHT) L R; MATERIALIZE JR;
+JI = JOIN(DLE(-1); output: INT) L R; MATERIALIZE JI;
+JC = JOIN(MD(2); output: CAT) L R; MATERIALIZE JC;
+"""
+
+PROGRAMS = (
+    JOIN_PROGRAM, MAP_PROGRAM, SWEEP_PROGRAM, DERIVED_PROGRAM,
+    DISJOINT_JOIN_PROGRAM,
+)
 
 
 @pytest.fixture(scope="module")

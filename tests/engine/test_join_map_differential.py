@@ -11,8 +11,9 @@ shipping, ``sharded``).
 
 Inputs are hypothesis-generated with the usual nasties baked into the
 strategies: strandless regions under strand-aware UP/DOWN, zero-length
-regions, coincident points, and intervals straddling the BIN=64
-zone-map grid.
+regions, coincident points, intervals straddling the BIN=64 zone-map
+grid, and chromosome names whose natural order differs from string
+order or ties (``chr2``/``chr10``/``chrX``, ``chr1``/``chr01``).
 """
 
 from hypothesis import given, settings
@@ -94,8 +95,16 @@ _WIDTHS = st.one_of(
     st.integers(0, 3 * BIN),
     st.sampled_from([0, BIN, 2 * BIN]),
 )
-_INTERVALS = st.tuples(
+#: Chromosome names exercising natural order (``chr2 < chr10 < chrX``)
+#: and tied sort keys (``chr01`` sorts level with ``chr1``, so input
+#: order decides between them), weighted toward two names so that
+#: regions still meet on a shared chromosome.
+_CHROMS = st.one_of(
     st.sampled_from(["chr1", "chr2"]),
+    st.sampled_from(["chr10", "chrX", "chr01"]),
+)
+_INTERVALS = st.tuples(
+    _CHROMS,
     _POSITIONS,
     _WIDTHS,
     st.sampled_from(["+", "-", "*"]),

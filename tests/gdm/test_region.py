@@ -1,5 +1,7 @@
 """Unit tests for GenomicRegion geometry and invariants."""
 
+import doctest
+
 import pytest
 
 from repro.errors import CoordinateError
@@ -129,6 +131,19 @@ class TestOrderingIdentity:
         names = ["chr10", "chr2", "chrX", "chr1"]
         ordered = sorted(names, key=chromosome_sort_key)
         assert ordered == ["chr1", "chr2", "chr10", "chrX"]
+
+    def test_chromosome_key_cache_is_bounded_and_keeps_the_order(self):
+        assert sorted(["chr10", "chr2", "chrX"], key=chromosome_sort_key) == [
+            "chr2", "chr10", "chrX"
+        ]
+        assert chromosome_sort_key("chr10") is chromosome_sort_key("chr10")
+        maxsize = chromosome_sort_key.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10**6
+        finder = doctest.DocTestFinder()
+        runner = doctest.DocTestRunner()
+        for test in finder.find(chromosome_sort_key, "chromosome_sort_key"):
+            runner.run(test)
+        assert runner.summarize(verbose=False) == (0, 1)
 
     def test_sort_key_orders_regions(self):
         regions = [

@@ -143,3 +143,60 @@ class TestSchemaMerging:
         left = RegionSchema.of(("a", INT))
         merged = left.merge(RegionSchema.empty())
         assert merged.schema == left
+
+    @pytest.mark.parametrize("left, right, layout", [
+        # unified: the right value overrides unless it is missing
+        ((("score", FLOAT), ("name", STR)), (("score", FLOAT),),
+         ("score", "name")),
+        # clash of types: renamed and appended
+        ((("score", FLOAT),), (("score", STR), ("extra", INT)),
+         ("score", "score_right", "extra")),
+        # disjoint: pure concatenation
+        ((("p_value", FLOAT),), (("name", STR), ("hits", INT)),
+         ("p_value", "name", "hits")),
+        # a mix of all three
+        ((("a", INT), ("b", STR)), (("b", STR), ("a", FLOAT), ("c", INT)),
+         ("a", "b", "a_right", "c")),
+        ((), (("x", INT),), ("x",)),
+        ((("x", INT),), (), ("x",)),
+    ])
+    def test_combine_is_remap_then_override(self, left, right, layout):
+        """``combine`` equals its definition -- the left tuple remapped,
+        then every non-missing right value written to its merged slot --
+        on every merge shape, with missing values on either side."""
+        left_schema = RegionSchema.of(*left)
+        right_schema = RegionSchema.of(*right)
+        merged = left_schema.merge(right_schema)
+        assert merged.schema.names == layout
+
+        def definition(left_values, right_values):
+            out = list(merged.remap_left(left_values))
+            for source, target in enumerate(merged._right_positions):
+                if right_values[source] is not None:
+                    out[target] = right_values[source]
+            return tuple(out)
+
+        samples = {
+            INT: (7, None, -0), FLOAT: (0.5, None, float("nan")),
+            STR: ("x", None, ""),
+        }
+        left_rows = [
+            tuple(samples[t][i] for __, t in left) for i in range(3)
+        ]
+        right_rows = [
+            tuple(samples[t][i] for __, t in right) for i in range(3)
+        ]
+        for left_values in left_rows:
+            for right_values in right_rows:
+                got = merged.combine(left_values, right_values)
+                want = definition(left_values, right_values)
+                assert repr(got) == repr(want)
+                assert isinstance(got, tuple)
+        # Ragged tuples keep the definition's behaviour, errors included.
+        if left:
+            with pytest.raises(IndexError):
+                merged.combine((), right_rows[0])
+            longer = left_rows[0] + ("spare",)
+            assert merged.combine(longer, right_rows[0]) == definition(
+                longer, right_rows[0]
+            )

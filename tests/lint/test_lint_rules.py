@@ -117,6 +117,47 @@ class TestRegionMutationRule:
         ]
 
 
+class TestRegionSortKeyRule:
+    SNIPPET = SNIPPET_DIR / "rl010_region_sort_key.py"
+
+    def scoped(self, tmp_path, monkeypatch) -> None:
+        rules = [
+            lint.Rule(rule.code, rule.summary, rule.check,
+                      only_under=(tmp_path / "src" / "repro" / "engine",))
+            if rule.code == "RL010" else rule
+            for rule in lint.RULES
+        ]
+        monkeypatch.setattr(lint, "RULES", tuple(rules))
+
+    def test_rl010_fires_in_engine_code(self, tmp_path, monkeypatch):
+        self.scoped(tmp_path, monkeypatch)
+        engine = tmp_path / "src" / "repro" / "engine" / "x.py"
+        engine.parent.mkdir(parents=True)
+        engine.write_text(self.SNIPPET.read_text())
+        problems = lint.check_file(engine, {"RL010"}, root=tmp_path)
+        assert [p.line for p in problems] == [
+            line for __, line in expectations(self.SNIPPET)
+        ]
+
+    def test_rl010_leaves_the_operator_library_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """``naive`` delegates to ``gmql/operators``, the oracle's home,
+        which sorts region objects by definition."""
+        self.scoped(tmp_path, monkeypatch)
+        operators = tmp_path / "src" / "repro" / "gmql" / "operators" / "x.py"
+        operators.parent.mkdir(parents=True)
+        operators.write_text(self.SNIPPET.read_text())
+        assert lint.check_file(operators, {"RL010"}, root=tmp_path) == []
+
+    def test_the_real_rule_is_scoped_to_the_engine_package(self):
+        (rule,) = [rule for rule in lint.RULES if rule.code == "RL010"]
+        assert rule.applies_to(lint.ENGINE_DIR / "columnar.py")
+        assert not rule.applies_to(
+            lint.SRC_DIR / "repro" / "gmql" / "operators" / "join.py"
+        )
+
+
 class TestRuleSelection:
     def test_select_narrows_to_the_named_codes(self):
         assert lint.active_codes(select="RL001,RL007") == {"RL001", "RL007"}

@@ -15,7 +15,15 @@ import threading
 import pytest
 
 from repro.engine.context import ExecutionContext
-from repro.gdm import RegionList, Sample, renumber, results_digest
+from repro.gdm import (
+    Dataset,
+    GenomicRegion,
+    RegionList,
+    RegionSchema,
+    Sample,
+    renumber,
+    results_digest,
+)
 from repro.gmql import operators as ops
 from repro.gmql.aggregates import Count
 from repro.gmql.lang import execute
@@ -320,3 +328,52 @@ class TestResidencyLedger:
         assert ledger.evictions == 1
         assert store.blocks_evicted == 1
         assert store.stats()["blocks_evicted"] == 1
+
+
+class TestProcessCounters:
+    def test_concurrent_builds_lose_no_process_count(self):
+        """Four threads each building the blocks of fresh datasets, with
+        thread switches forced as often as possible: the process-wide
+        ``blocks_built`` counts every build."""
+        threads_n, datasets_per_thread, samples_per_dataset = 4, 150, 2
+        errors: list = []
+        start = threading.Barrier(threads_n, timeout=30)
+
+        def fresh_dataset(turn: int) -> Dataset:
+            return Dataset("FRESH", RegionSchema.empty(), [
+                Sample(sample_id, [
+                    GenomicRegion("chr1", turn + i, turn + i + 5)
+                    for i in range(3)
+                ])
+                for sample_id in range(1, samples_per_dataset + 1)
+            ])
+
+        def worker() -> None:
+            try:
+                start.wait()
+                for turn in range(datasets_per_thread):
+                    dataset = fresh_dataset(turn)
+                    store = DatasetStore(dataset, None, root=None)
+                    for sample in dataset:
+                        store.blocks(sample)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+
+        reset_store_counters()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker) for __ in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert store_counters()["blocks_built"] == (
+            threads_n * datasets_per_thread * samples_per_dataset
+        )
