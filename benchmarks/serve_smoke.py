@@ -7,8 +7,10 @@ Exercises the serving stack the way a user would, end to end:
    the identity reference.
 2. Boot an in-process server (:class:`~repro.serve.server.ServerThread`)
    over the same bundled CHIP dataset and fire concurrent clients at it;
-   every response must be a 200 carrying exactly the CLI digest, and the
-   warm result cache must report hits (the warm state actually engaged).
+   every response must be a 200 carrying exactly the CLI digest, the
+   warm result cache must report hits (the warm state actually engaged),
+   and some responses must reuse the digest memoised with their cached
+   result instead of re-hashing it.
 3. Boot the real ``python -m repro serve`` subprocess on an ephemeral
    port, query it over HTTP, and shut it down with SIGINT -- the
    listener line, the query path and the graceful-exit path of the CLI
@@ -144,11 +146,16 @@ def in_process_server_check(program: str, reference_digest: str) -> None:
     if hits <= 0:
         fail("warm server reports zero result-cache hits under a "
              "repeated-query load")
+    reused = stats["scheduler"]["digests_reused"]
+    if reused <= 0:
+        fail("warm server reports zero reused digests under a "
+             "repeated-query load")
     leaked = multiprocessing.active_children()
     if leaked:
         fail(f"worker processes leaked past server shutdown: {leaked}")
     print(f"in-process server: {expected} concurrent responses, all 200 "
-          f"and CLI-identical; {hits} warm cache hit(s); no leaked workers")
+          f"and CLI-identical; {hits} warm cache hit(s), {reused} "
+          f"reused digest(s); no leaked workers")
 
 
 def cli_server_check(program: str, reference_digest: str) -> None:

@@ -86,6 +86,7 @@ class ShardedBackend(Backend):
         add overhead).
         """
         from repro.federation.shards import (
+            chromosome_names_tie,
             is_chromosome_clustered,
             partition_chromosomes,
         )
@@ -106,12 +107,7 @@ class ShardedBackend(Backend):
             for sample in dataset:
                 for region in sample.regions:
                     weights[region.chrom] = weights.get(region.chrom, 0) + 1
-        if len(weights) < 2:
-            return None
-        if len(set(map(chromosome_sort_key, weights))) < len(weights):
-            # Names whose sort keys tie (``chr1``/``chr01``) have no
-            # genome order between them: merged runs could come back in
-            # another order than one unsharded run emits.
+        if len(weights) < 2 or chromosome_names_tie(weights):
             return None
         if group_count is None:
             # Explicit ``--engine sharded`` with no configured count:

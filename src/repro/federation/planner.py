@@ -44,7 +44,10 @@ from repro.federation.merge import (
 )
 from repro.federation.node import FederationNode
 from repro.federation.protocol import ShardTransfer
-from repro.federation.shards import partition_chromosomes
+from repro.federation.shards import (
+    chromosome_names_tie,
+    partition_chromosomes,
+)
 from repro.federation.transfer import Network
 from repro.gdm import chromosome_sort_key
 from repro.gmql.lang import compile_program, execute, optimize
@@ -557,7 +560,11 @@ class FederatedClient:
         all_chroms = tuple(sorted(weights, key=chromosome_sort_key))
         rounds: list = []
         if clustered and local_outputs:
-            if max_shards is not None:
+            if chromosome_names_tie(all_chroms):
+                # Tied names (``chr1``/``chr01``) must not be split: one
+                # whole-genome group, which merge_partials returns as is.
+                local_groups = (all_chroms,)
+            elif max_shards is not None:
                 local_groups = partition_chromosomes(weights, max_shards)
             else:
                 local_groups = tuple((chrom,) for chrom in all_chroms)

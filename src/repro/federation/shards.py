@@ -106,6 +106,17 @@ def is_chromosome_clustered(dataset: Dataset) -> bool:
     return True
 
 
+def chromosome_names_tie(chroms) -> bool:
+    """Whether two of *chroms* share a genome-order sort key.
+
+    Tied names (``chr1``/``chr01``) have no order between them, so
+    interleaving per-chromosome partials could emit them in another
+    order than one unsharded run does: callers must not split them.
+    """
+    names = set(chroms)
+    return len(set(map(chromosome_sort_key, names))) < len(names)
+
+
 def dataset_manifest(dataset: Dataset) -> ShardManifest:
     """The (sample, chromosome) shard manifest of *dataset*.
 

@@ -38,7 +38,7 @@ class Dataset:
     """
 
     __slots__ = ("name", "schema", "_samples", "provenance", "_stores",
-                 "_shard_summary")
+                 "_shard_summary", "_digest_memo")
 
     def __init__(
         self,
@@ -58,6 +58,10 @@ class Dataset:
         #: Memoised :meth:`shard_summary` (the one summary statistic that
         #: walks every region); invalidated with the stores.
         self._shard_summary: dict | None = None
+        #: ``(key, digest)`` of a served result this dataset is the
+        #: result-cache entry of (see :mod:`repro.serve.scheduler`);
+        #: invalidated with the stores, never pickled.
+        self._digest_memo: tuple | None = None
         #: Provenance records attached by GMQL operators (see
         #: :mod:`repro.gmql.provenance`); empty for source datasets.
         self.provenance: list = []
@@ -77,6 +81,7 @@ class Dataset:
         self._samples[sample.id] = sample
         self._stores = {}
         self._shard_summary = None
+        self._digest_memo = None
 
     def _conform(self, sample: Sample) -> Sample:
         width = len(self.schema)
@@ -221,6 +226,7 @@ class Dataset:
 
     def __getstate__(self) -> dict:
         """Drop memoised stores: memmaps and block arrays never travel.
+        Nor does a digest memo, which only vouches for this object.
 
         A revived dataset (worker process, persisted result cache)
         rebuilds or re-opens its store lazily, which is both smaller on
@@ -240,6 +246,7 @@ class Dataset:
         self.provenance = state["provenance"]
         self._stores = {}
         self._shard_summary = None
+        self._digest_memo = None
 
     def estimated_size_bytes(self) -> int:
         """Rough serialised size, used by the federation cost estimator.

@@ -143,7 +143,8 @@ class Interpreter:
         content-based fingerprint, the process-wide
         :func:`repro.store.cache.result_cache` is consulted first; a hit
         skips the kernel (and the whole subtree) entirely.  Scans are
-        never cached -- they are already just dictionary lookups.
+        never cached -- they are already just dictionary lookups.  The
+        entry served or stored is recorded as ``physical.cache_entry``.
         """
         node = physical.logical
         if id(node) in self._memo:
@@ -190,6 +191,7 @@ class Interpreter:
                 physical.actual_samples = len(hit)
                 physical.executed_backend = "cache"
                 physical.cached = True
+                physical.cache_entry = hit
                 result = hit
                 if node.result_name:
                     result = result.with_name(node.result_name)
@@ -231,6 +233,7 @@ class Interpreter:
         if cache is not None:
             # Stored before the rename: a hit re-applies its own name.
             cache.put(physical.fingerprint, result)
+            physical.cache_entry = result
         if node.result_name:
             result = result.with_name(node.result_name)
         self._memo[id(node)] = result

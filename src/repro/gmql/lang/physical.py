@@ -70,6 +70,9 @@ class PhysicalNode:
     actual_samples: int | None = None
     executed_backend: str | None = None
     cached: bool = False
+    #: The pre-rename dataset this node served from (``cached``) or put
+    #: into the result cache during execution; ``None`` when uncached.
+    cache_entry: object | None = None
 
     @property
     def kind(self) -> str:

@@ -16,6 +16,10 @@ request arriving while the same program text is already executing (and
 neither carries a private deadline) awaits the running task instead of
 occupying a second slot -- the single-flight pattern that keeps a
 thundering herd of popular queries from stampeding the kernels.
+
+A response served wholly from the result cache hashes nothing: the
+digest computed with a result travels with its cache entries
+(:func:`served_digest`).
 """
 
 from __future__ import annotations
@@ -40,7 +44,40 @@ class QueryOutcome:
     execute_seconds: float
     cache_hits: int
     cache_misses: int
+    digest_reused: bool = False
     coalesced: bool = False
+
+
+def served_digest(program, results: dict) -> tuple:
+    """``(digest, reused)`` of one run's *results*.
+
+    *program* is the :class:`~repro.gmql.lang.physical.PhysicalProgram`
+    the interpreter just ran.  The digest memoised on the cache entries
+    is returned only when every output was served from the cache in
+    this run -- ``cached`` is only ever set with the context's result
+    cache on, on a cache-safe node with a fingerprint -- and every
+    served entry holds the same digest under this program's ``(output
+    name, fingerprint)`` key, so it is only ever returned for the exact
+    objects it was hashed from.  Otherwise the rows are hashed and the
+    digest is written onto every output's entry; an evicted or replaced
+    entry takes it along.
+    """
+    nodes = list(program.outputs.values())
+    entries = [node.cache_entry for node in nodes]
+    key = tuple(sorted(
+        (name, node.fingerprint) for name, node in program.outputs.items()
+    ))
+    if nodes and all(node.cached for node in nodes):
+        memo = entries[0]._digest_memo
+        if memo is not None and memo[0] == key and all(
+            entry._digest_memo == memo for entry in entries
+        ):
+            return memo[1], True
+    digest = results_digest(results)
+    for entry in entries:
+        if entry is not None:
+            entry._digest_memo = (key, digest)
+    return digest, False
 
 
 class QueryScheduler:
@@ -68,6 +105,7 @@ class QueryScheduler:
         self.queries = 0
         self.coalesced = 0
         self.failures = 0
+        self.digests_reused = 0
 
     # -- slot management ---------------------------------------------------------
 
@@ -88,13 +126,15 @@ class QueryScheduler:
 
     def _run_sync(self, compiled, backend, context) -> tuple:
         """Execute on the caller-thread (kernel) side; returns
-        ``(results, digest, execute_seconds)``."""
+        ``(results, digest, digest_reused, execute_seconds)``."""
         started = perf_counter()
         interpreter = Interpreter(
             backend, self._state.sources, context=context
         )
-        results = interpreter.run_program(compiled)
-        return results, results_digest(results), perf_counter() - started
+        physical = interpreter.plan(compiled)
+        results = interpreter.run_physical(physical)
+        digest, reused = served_digest(physical, results)
+        return results, digest, reused, perf_counter() - started
 
     async def run(
         self,
@@ -129,6 +169,7 @@ class QueryScheduler:
             if existing is not None and not existing.done():
                 self.coalesced += 1
                 outcome = await asyncio.shield(existing)
+                self.digests_reused += outcome.digest_reused
                 return replace(outcome, coalesced=True)
         task = asyncio.ensure_future(self._execute(program, context))
         if coalescable:
@@ -136,13 +177,15 @@ class QueryScheduler:
         self._active += 1
         self._drained.clear()
         try:
-            return await task
+            outcome = await task
         finally:
             self._active -= 1
             if self._active == 0:
                 self._drained.set()
             if coalescable and self._inflight.get(key) is task:
                 del self._inflight[key]
+        self.digests_reused += outcome.digest_reused
+        return outcome
 
     async def _execute(
         self, program: str, context: ExecutionContext
@@ -161,8 +204,10 @@ class QueryScheduler:
             # A deadline that died in the queue never reaches a kernel.
             context.check()
             self.queries += 1
-            results, digest, execute_seconds = await loop.run_in_executor(
-                self._threads, self._run_sync, compiled, backend, context
+            results, digest, reused, execute_seconds = (
+                await loop.run_in_executor(
+                    self._threads, self._run_sync, compiled, backend, context
+                )
             )
         except Exception:
             self.failures += 1
@@ -176,6 +221,7 @@ class QueryScheduler:
             execute_seconds=execute_seconds,
             cache_hits=context.metrics.counter("result_cache.hits"),
             cache_misses=context.metrics.counter("result_cache.misses"),
+            digest_reused=reused,
         )
 
     # -- observability / lifecycle -----------------------------------------------
@@ -188,6 +234,7 @@ class QueryScheduler:
             "queries": self.queries,
             "coalesced": self.coalesced,
             "failures": self.failures,
+            "digests_reused": self.digests_reused,
         }
 
     async def aclose(self) -> None:

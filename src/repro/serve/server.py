@@ -73,7 +73,8 @@ _REASONS = {
 
 
 def _render_outputs(results: dict) -> dict:
-    """JSON-friendly view of materialized outputs (summaries + rows)."""
+    """JSON-friendly summary of each materialized output: sample and
+    region counts and the schema (no rows are rendered)."""
     outputs = {}
     for name in sorted(results):
         dataset = results[name]

@@ -20,6 +20,8 @@ from repro.federation import (
     partition_chromosomes,
     slice_dataset,
 )
+from repro.federation.shards import chromosome_names_tie
+from repro.gdm import Dataset, GenomicRegion, Metadata, RegionSchema, Sample
 from repro.gmql.lang import Interpreter, compile_program, optimize
 from repro.repository import Catalog
 from repro.resilience import FaultInjector
@@ -135,6 +137,60 @@ class TestShardedIdentity:
         baseline = single_node_run(datasets, program)
         for name in ("HOT", "NEAR"):
             assert rows(outcome.datasets[name]) == rows(baseline[name])
+
+
+def _tied_names_dataset(name: str, offset: int) -> Dataset:
+    """Clustered samples over ``chr01``, ``chr1`` (sort keys tie) and
+    ``chr2``, with ``chr01``/``chr1`` regions interleaving by position."""
+    def region(chrom, left, right):
+        return GenomicRegion(chrom, left, right, "*", ())
+
+    samples = []
+    for sample_id in (1, 2):
+        regions = (
+            [region("chr01", offset + 10 * i + sample_id,
+                    offset + 10 * i + 50 + sample_id) for i in range(4)]
+            + [region("chr1", offset + 10 * i + 5, offset + 10 * i + 30)
+               for i in range(4)]
+            + [region("chr2", offset + 7 * i, offset + 7 * i + 20)
+               for i in range(3)]
+        )
+        samples.append(Sample(sample_id, regions, Metadata({"s": "x"})))
+    return Dataset(name, RegionSchema.empty(), samples)
+
+
+class TestTiedChromosomeNames:
+    """Names whose sort keys tie are never split across shard groups:
+    columnar interleaves ``chr01``/``chr1`` rows by position, so merging
+    them as separate per-chromosome runs would group them instead."""
+
+    @pytest.mark.parametrize("program", [
+        "X = MAP(n AS COUNT) A B; MATERIALIZE X;",
+        "X = JOIN(DLE(100); output: LEFT) A B; MATERIALIZE X;",
+        "X = COVER(1, ANY) A; MATERIALIZE X;",
+    ], ids=["map", "join", "cover"])
+    def test_sharded_run_matches_columnar(self, program):
+        datasets = {
+            "A": _tied_names_dataset("A", 0),
+            "B": _tied_names_dataset("B", 3),
+        }
+        network = Network()
+        nodes = []
+        for index, group in enumerate((("chr01", "chr2"), ("chr1",))):
+            catalog = Catalog(f"n{index}")
+            for dataset in datasets.values():
+                catalog.register(slice_dataset(dataset, group))
+            nodes.append(FederationNode(f"n{index}", catalog, network))
+        outcome = FederatedClient(nodes, network).run_sharded(program)
+        baseline = single_node_run(datasets, program)
+        assert outcome.strategy == "sharded"
+        assert outcome.degraded is False
+        assert rows(outcome.datasets["X"]) == rows(baseline["X"])
+
+    def test_tie_predicate(self):
+        assert chromosome_names_tie(["chr1", "chr01", "chr2"])
+        assert not chromosome_names_tie(["chr1", "chr2", "chrX"])
+        assert not chromosome_names_tie(["chr1", "chr1"])
 
 
 class TestDegradedSharding:

@@ -114,11 +114,15 @@ class TestQuery:
         assert response.payload["timing"]["execute_ms"] >= 0.0
 
     def test_repeat_query_serves_from_warm_cache(self, client, expected):
+        reused = client.stats().payload["scheduler"]["digests_reused"]
         first = client.query(P_COVER)
         second = client.query(P_COVER)
         assert first.payload["digest"] == expected[P_COVER]
         assert second.payload["digest"] == expected[P_COVER]
         assert second.payload["cache"]["hits"] >= 1
+        # The repeat's digest came from the memo on its cache entry.
+        stats = client.stats().payload["scheduler"]
+        assert stats["digests_reused"] >= reused + 1
 
     def test_tenant_header_identifies_the_caller(self, client):
         response = client.query(P_SELECT, tenant="smith-lab")
