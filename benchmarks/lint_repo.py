@@ -27,14 +27,19 @@ RL010     ``sort``/``sorted`` keyed on ``GenomicRegion.sort_key``
           under ``src/repro/engine`` (columnar engines order output
           rows as arrays, ``repro.store.genome_order``; ``naive``
           delegates to ``gmql/operators``, which may sort objects)
+RL011     ``GenomicRegion(...)`` or ``.with_values(...)`` call in
+          ``src/repro/engine/columnar.py`` (its outputs are born as
+          columns; rows are built only by the row sources'
+          materialisation in ``repro.gdm.sample``)
 ========  =======================================================
 
 Checked trees: ``src``, ``tests``, ``benchmarks``.  The golden corpus
 of *intentionally* violating snippets under ``tests/lint/snippets/`` is
 exempt from the sweep (each snippet exists to trip exactly one rule,
 verified by ``tests/lint/test_lint_rules.py``).  A rule may also be
-scoped to some trees only (RL009: ``src``, RL010: ``src/repro/engine``
--- each also the corpus, so its snippet trips it).
+scoped to some trees only (RL009: ``src``, RL010: ``src/repro/engine``,
+RL011: ``src/repro/engine/columnar.py`` -- each also the corpus, so its
+snippet trips it).
 
 Exits nonzero listing ``path:line: RL0xx message`` for every violation.
 """
@@ -51,6 +56,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CHECKED_TREES = ("src", "tests", "benchmarks")
 SRC_DIR = ROOT / "src"
 ENGINE_DIR = ROOT / "src" / "repro" / "engine"
+COLUMNAR_ENGINE = ENGINE_DIR / "columnar.py"
 SNIPPET_DIR = ROOT / "tests" / "lint" / "snippets"
 CLOCK_MODULE = ROOT / "src" / "repro" / "resilience" / "clock.py"
 SHM_MODULE = ROOT / "src" / "repro" / "store" / "shm.py"
@@ -259,6 +265,22 @@ def _check_region_sort_key(rel, node, enclosing):
         )
 
 
+def _check_columnar_region_build(rel, node, enclosing):
+    if not isinstance(node, ast.Call):
+        return
+    func = node.func
+    if (isinstance(func, ast.Name) and func.id == "GenomicRegion") or (
+        isinstance(func, ast.Attribute)
+        and func.attr in ("GenomicRegion", "with_values")
+    ):
+        yield (
+            node.lineno,
+            "region object built in the columnar engine -- hand "
+            "build_result a row source (repro.gdm.sample) and let "
+            "sample.regions materialise on demand",
+        )
+
+
 @dataclass(frozen=True)
 class Rule:
     """One table row: a stable code, a per-node checker, its scope."""
@@ -267,13 +289,13 @@ class Rule:
     summary: str
     check: object  # callable(rel, node, enclosing) -> iterable
     exempt: tuple = ()  # absolute Paths the rule does not apply to
-    only_under: tuple = ()  # absolute directories it is limited to
+    only_under: tuple = ()  # absolute directories or files it is limited to
 
     def applies_to(self, path: Path) -> bool:
         if path in self.exempt:
             return False
         return not self.only_under or any(
-            base in path.parents for base in self.only_under
+            base == path or base in path.parents for base in self.only_under
         )
 
 
@@ -293,6 +315,9 @@ RULES: tuple = (
          _check_region_mutation, only_under=(SRC_DIR, SNIPPET_DIR)),
     Rule("RL010", "sort keyed on GenomicRegion.sort_key under engine/",
          _check_region_sort_key, only_under=(ENGINE_DIR, SNIPPET_DIR)),
+    Rule("RL011", "region object built in engine/columnar.py",
+         _check_columnar_region_build,
+         only_under=(COLUMNAR_ENGINE, SNIPPET_DIR)),
 )
 
 #: Codes handled outside the per-node table (parse + repo-level checks).

@@ -379,11 +379,14 @@ def _run_with_chaos(args, injector) -> int:
             print("  time by backend:")
             for name in sorted(by_backend):
                 print(f"    {name:<10} {by_backend[name] * 1000:8.1f} ms")
+        moved = {
+            key: value - counters_before[key]
+            for key, value in store_counters().items()
+        }
+        # Region objects built from outputs born as columns (writing a
+        # result materialises it; the digest and summaries do not).
+        print(f"  rows materialised: {moved['rows_materialised']}")
         if args.store_dir:
-            moved = {
-                key: value - counters_before[key]
-                for key, value in store_counters().items()
-            }
             resident = sum(
                 dataset.store_stats()["resident_bytes"]
                 for dataset in sources.values()

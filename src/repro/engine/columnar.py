@@ -24,8 +24,7 @@ rebuilding coordinate arrays from region objects on every operator:
   per-anchor nearest-k selection, with zone-map pruning of anchor
   chromosomes the experiment provably cannot reach; output coordinates
   and strands are computed as arrays and put in genome order by one
-  stable lexsort (:func:`repro.store.genome_order`), so each output
-  region is built once, already in place;
+  stable lexsort (:func:`repro.store.genome_order`);
 * **COVER/FLAT/SUMMIT/HISTOGRAM** -- the whole accumulation family is
   served from one event-sweep kernel
   (:mod:`repro.store.cover_kernels`): per chromosome, the persisted
@@ -47,8 +46,11 @@ rebuilding coordinate arrays from region objects on every operator:
 Array building lives in :mod:`repro.store` only.  Each operator plans
 in the calling process -- sample pairing, zone-map and dead-bin pruning,
 output schema -- and hands every (unit, chromosome) piece of pure array
-work to :meth:`ColumnarBackend.submit_kernel`; rows are rehydrated from
-the returned arrays by the same code whichever executor ran the piece.
+work to :meth:`ColumnarBackend.submit_kernel`; whichever executor ran
+the pieces, COVER, MAP and JOIN samples are *born from* the returned
+arrays (:class:`~repro.gdm.sample.RowSource`): their rows are read from
+the columns, and region objects are built only if something asks for
+``sample.regions``.
 This backend runs the pieces inline;
 :class:`~repro.engine.parallel.ParallelBackend` overrides that one
 method to run them on a process pool.  Metadata-centric operators fall
@@ -60,12 +62,12 @@ encodings share their front end.
 from __future__ import annotations
 
 import math
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
-from repro.gdm import Dataset, GenomicRegion
+from repro.gdm import Dataset
+from repro.gdm.sample import ColumnRows, MapRows
 from repro.intervals.coverage import CoverageSegment
 from repro.engine.naive import NaiveBackend
 from repro.gmql.aggregates import Avg, Bag, Count, Max, Median, Min, Std, Sum
@@ -478,19 +480,41 @@ def pair_group_columns(
 #: Strand symbol of each :data:`repro.store.STRAND_CODES` code (``-1``
 #: indexes from the end).
 _STRAND_SYMBOLS = np.array(["*", "+", "-"], dtype=object)
-_LEFT = attrgetter("left")
-_RIGHT = attrgetter("right")
+_VALUES = attrgetter("values")
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
-def join_ends(output: str, anchor: tuple, experiment: tuple,
-              larger, smaller) -> tuple:
+def cover_source(pieces: list) -> ColumnRows:
+    """A COVER-family sample's rows from its per-chromosome
+    ``(chrom, lefts, rights, depths)`` sweep results, in genome order:
+    unstranded, the depth as the one value."""
+    pieces = [piece for piece in pieces if piece[1].size]
+    lefts, rights, depths = (
+        np.concatenate([piece[column] for piece in pieces] or [_NO_ROWS])
+        for column in (1, 2, 3)
+    )
+    return ColumnRows(
+        [(piece[0], piece[1].size) for piece in pieces],
+        lefts, rights, ["*"] * lefts.size, [depths],
+    )
+
+
+def _runs(names: list, ids: np.ndarray) -> list:
+    """``[(name, count), ...]`` of the consecutive equal *ids*."""
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    bounds = [0, *starts.tolist(), ids.size]
+    return [
+        (names[ids[start]], stop - start)
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+
+
+def join_ends(output: str, anchor: tuple, experiment: tuple) -> tuple:
     """``(lefts, rights)`` of JOIN output rows under one output option.
 
     The naive operator's LEFT/RIGHT/INT/CAT options over the paired
-    rows' ``(lefts, rights)``: *anchor* and *experiment* are numpy
-    columns with ``np.maximum``/``np.minimum`` as *larger*/*smaller*,
-    or iterables of Python ints with elementwise ``max``/``min``.  For
-    INT the caller drops rows with ``rights <= lefts``.
+    rows' ``(lefts, rights)`` columns.  For INT the caller drops rows
+    with ``rights <= lefts``.
     """
     (a_lefts, a_rights), (e_lefts, e_rights) = anchor, experiment
     if output == "LEFT":
@@ -498,8 +522,8 @@ def join_ends(output: str, anchor: tuple, experiment: tuple,
     if output == "RIGHT":
         return e_lefts, e_rights
     if output == "INT":
-        return larger(a_lefts, e_lefts), smaller(a_rights, e_rights)
-    return smaller(a_lefts, e_lefts), larger(a_rights, e_rights)
+        return np.maximum(a_lefts, e_lefts), np.minimum(a_rights, e_rights)
+    return np.minimum(a_lefts, e_lefts), np.maximum(a_rights, e_rights)
 
 
 def join_strands(output: str, a_strands, e_strands):
@@ -517,10 +541,10 @@ def join_strands(output: str, a_strands, e_strands):
     return np.sign(a_strands + e_strands)
 
 
-def join_regions(
+def join_rows(
     merged, output: str, tasks, anchor_regions, exp_regions
-) -> list:
-    """One sample pair's JOIN output regions, built once in genome order.
+) -> ColumnRows | list:
+    """One sample pair's JOIN output, as columns in genome order.
 
     *tasks* are the pair's ``(a_block, e_block, handle)`` pieces, each
     handle yielding :func:`repro.store.join_pairs` triples.  Output
@@ -529,11 +553,11 @@ def join_regions(
     which reproduces the naive operator's genome-order sort tie for
     tie: the naive operator enumerates anchor by anchor, each anchor's
     candidates in kernel order, so rows with equal keys are ranked by
-    anchor position and then by piece order.  Only then is each region
-    built, its values laid out by ``merged.combine`` and its ends taken
-    from the paired regions' own int objects, as the naive operator
-    takes them -- a cached result would otherwise hold a second copy of
-    every coordinate.
+    anchor position and then by piece order.  The value columns are
+    laid out from the paired regions' values by
+    :meth:`~repro.gdm.schema.MergedSchema.combine_columns`, with the
+    distance last; the sample is born from these columns
+    (:class:`~repro.gdm.sample.ColumnRows`), no region is built here.
     """
     chroms, counts, parts = [], [], []
     for a_block, e_block, task in tasks:
@@ -543,7 +567,6 @@ def join_regions(
             output,
             (a_block.starts[a_rows], a_block.stops[a_rows]),
             (e_block.starts[e_rows], e_block.stops[e_rows]),
-            np.maximum, np.minimum,
         )
         strands = join_strands(
             output, a_block.strands[a_rows], e_block.strands[e_rows]
@@ -569,30 +592,16 @@ def join_regions(
         chromosome_ranks(chroms)[chrom_ids], lefts, rights, strands,
         ties=a_index,
     )
-    a_regions = [anchor_regions[i] for i in a_index[order].tolist()]
-    e_regions = [exp_regions[i] for i in e_index[order].tolist()]
-    lefts, rights = join_ends(
-        output,
-        (map(_LEFT, a_regions), map(_RIGHT, a_regions)),
-        (map(_LEFT, e_regions), map(_RIGHT, e_regions)),
-        partial(map, max), partial(map, min),
+    values = merged.combine_columns(
+        list(map(_VALUES, map(anchor_regions.__getitem__,
+                              a_index[order].tolist()))),
+        list(map(_VALUES, map(exp_regions.__getitem__,
+                              e_index[order].tolist()))),
     )
-    combine = merged.combine
-    return [
-        GenomicRegion(
-            chrom, left, right, strand,
-            combine(a.values, e.values) + (gap,),
-        )
-        for chrom, left, right, strand, a, e, gap in zip(
-            np.array(chroms, dtype=object)[chrom_ids[order]].tolist(),
-            lefts,
-            rights,
-            _STRAND_SYMBOLS[strands[order]].tolist(),
-            a_regions,
-            e_regions,
-            gaps[order].tolist(),
-        )
-    ]
+    return ColumnRows(
+        _runs(chroms, chrom_ids[order]), lefts[order], rights[order],
+        _STRAND_SYMBOLS[strands[order]], [*values, gaps[order]],
+    )
 
 
 # -- array kernels: the unit of work an executor runs -------------------------
@@ -775,17 +784,12 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for (ref_sample, exp_sample), tasks in zip(pairs, planned):
-                    counts = np.zeros(len(ref_sample.regions), dtype=np.int64)
+                    ref_regions = ref_sample.regions
+                    counts = np.zeros(len(ref_regions), dtype=np.int64)
                     for index, task in tasks:
                         counts[index] = task.result()
-                    regions = [
-                        region.with_values(
-                            region.values + (int(count),) * width
-                        )
-                        for region, count in zip(ref_sample.regions, counts)
-                    ]
                     yield (
-                        regions,
+                        MapRows(ref_regions, [counts.tolist()] * width),
                         merged_metadata(ref_sample, exp_sample),
                         [
                             (reference.name, ref_sample.id),
@@ -828,9 +832,7 @@ class ColumnarBackend(NaiveBackend):
                     )
                     for block, exp_block in block_pairs
                 ])
-            empty_row = tuple(
-                aggregate.compute([]) for aggregate, __, ___ in resolved
-            )
+            empties = [aggregate.compute([]) for aggregate, __, ___ in resolved]
 
             def parts():
                 for (ref_sample, exp_sample), tasks in zip(pairs, planned):
@@ -841,7 +843,8 @@ class ColumnarBackend(NaiveBackend):
                         for __, attr_index, ___ in resolved
                         if attr_index is not None
                     }
-                    rows = [empty_row] * len(ref_sample.regions)
+                    ref_regions = ref_sample.regions
+                    values = [[empty] * len(ref_regions) for empty in empties]
                     for block, exp_block, task in tasks:
                         ref_rows, e_pos = task.result()
                         columns_out = pair_group_columns(
@@ -849,14 +852,11 @@ class ColumnarBackend(NaiveBackend):
                             columns, resolved,
                         )
                         positions = block.index.tolist()
-                        for local, values in enumerate(zip(*columns_out)):
-                            rows[positions[local]] = values
-                    regions = [
-                        region.with_values(region.values + extras)
-                        for region, extras in zip(ref_sample.regions, rows)
-                    ]
+                        for full, part in zip(values, columns_out):
+                            for position, value in zip(positions, part):
+                                full[position] = value
                     yield (
-                        regions,
+                        MapRows(ref_regions, values),
                         merged_metadata(ref_sample, exp_sample),
                         [
                             (reference.name, ref_sample.id),
@@ -908,19 +908,10 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for (__, samples), tasks in zip(groups, planned):
-                    out = []
-                    for chrom, task in tasks:
-                        lefts, rights, depths = task.result()
-                        out.extend(
-                            GenomicRegion(chrom, left, right, "*", (depth,))
-                            for left, right, depth in zip(
-                                lefts.tolist(),
-                                rights.tolist(),
-                                depths.tolist(),
-                            )
-                        )
                     yield (
-                        out,
+                        cover_source([
+                            (chrom, *task.result()) for chrom, task in tasks
+                        ]),
                         union_group_metadata(samples),
                         [(child.name, sample.id) for sample in samples],
                     )
@@ -994,7 +985,7 @@ class ColumnarBackend(NaiveBackend):
             def parts():
                 for (anchor_sample, exp_sample), tasks in zip(pairs, planned):
                     yield (
-                        join_regions(
+                        join_rows(
                             merged, plan.output, tasks,
                             anchor_sample.regions, exp_sample.regions,
                         ),

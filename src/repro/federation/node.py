@@ -62,7 +62,7 @@ class FederationNode:
         #: Datasets shipped in from elsewhere (data-shipping execution).
         self.foreign: dict = {}
         #: Shard slices shipped in for sharded execution:
-        #: ``{dataset_name: [slice, ...]}`` -- merged with the local
+        #: ``{dataset_name: {chroms: slice}}`` -- merged with the local
         #: catalog slice at shard-execute time.
         self.foreign_shards: dict = {}
 
@@ -183,7 +183,7 @@ class FederationNode:
         for name, dataset in self.foreign.items():
             sources[name] = slice_dataset(dataset, wanted)
         for name, slices in self.foreign_shards.items():
-            pieces = [slice_dataset(piece, wanted) for piece in slices]
+            pieces = [slice_dataset(piece, wanted) for piece in slices.values()]
             if name in sources:
                 pieces.insert(0, sources[name])
             sources[name] = (
@@ -314,5 +314,14 @@ class FederationNode:
         return sliced
 
     def receive_shard(self, dataset: Dataset, chroms=()) -> None:
-        """Accept a shipped-in shard slice of a source dataset."""
-        self.foreign_shards.setdefault(dataset.name, []).append(dataset)
+        """Accept a shipped-in shard slice of a source dataset.
+
+        The planner ships what a node's catalog lacks on every run, so
+        a slice replaces every slice held of any of its chromosomes: a
+        node never holds two copies of one (dataset, chromosome) shard.
+        """
+        held = self.foreign_shards.setdefault(dataset.name, {})
+        wanted = set(chroms)
+        for group in [group for group in held if wanted.intersection(group)]:
+            del held[group]
+        held[tuple(chroms)] = dataset

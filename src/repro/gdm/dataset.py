@@ -163,7 +163,7 @@ class Dataset:
         """Sorted tuple of chromosomes appearing anywhere in the dataset."""
         found: set = set()
         for sample in self._samples.values():
-            found.update(region.chrom for region in sample.regions)
+            found.update(chrom for chrom, __ in sample.chromosome_runs())
         return tuple(sorted(found))
 
     def metadata_attributes(self) -> tuple:
@@ -300,9 +300,10 @@ class Dataset:
         form one contiguous run per chromosome in genome order -- the
         precondition for order-preserving shard slicing and merging.
 
-        The walk over every region is done once and memoised until a
-        sample is added (physical planning asks on every plan); each
-        call returns a fresh copy, so callers may edit theirs.
+        The walk over every sample's chromosome runs (a sample born from
+        columns reads them from its columns) is done once and memoised
+        until a sample is added (physical planning asks on every plan);
+        each call returns a fresh copy, so callers may edit theirs.
         """
         if self._shard_summary is None:
             self._shard_summary = self._walk_shards()
@@ -323,16 +324,15 @@ class Dataset:
         for sample in self._samples.values():
             counts: dict = {}
             previous = None
-            for region in sample.regions:
-                if region.chrom != previous:
-                    if region.chrom in counts or (
-                        previous is not None
-                        and chromosome_sort_key(region.chrom)
-                        < chromosome_sort_key(previous)
-                    ):
-                        clustered = False
-                    previous = region.chrom
-                counts[region.chrom] = counts.get(region.chrom, 0) + 1
+            for chrom, count in sample.chromosome_runs():
+                if chrom in counts or (
+                    previous is not None
+                    and chromosome_sort_key(chrom)
+                    < chromosome_sort_key(previous)
+                ):
+                    clustered = False
+                previous = chrom
+                counts[chrom] = counts.get(chrom, 0) + count
             for chrom, count in counts.items():
                 entry = chroms.setdefault(chrom, [0, 0, 0])
                 entry[0] += 1

@@ -19,6 +19,8 @@ import re
 from functools import lru_cache
 from typing import Any, Iterator
 
+import numpy as np
+
 from repro.errors import CoordinateError
 
 #: The three legal strand symbols: forward, reverse, and unstranded.
@@ -42,6 +44,29 @@ def chromosome_sort_key(chrom: str) -> tuple:
     """
     parts = _CHROM_SPLIT.split(chrom)
     return tuple(int(p) if p.isdigit() else p for p in parts)
+
+
+def check_region_columns(chroms, lefts, rights, strands) -> None:
+    """The :class:`GenomicRegion` constructor's checks over whole columns.
+
+    For rows born as columns (see :class:`repro.gdm.sample.RowSource`):
+    *lefts* and *rights* are integer arrays, *chroms* and *strands* the
+    names and symbols the rows draw from.  A coordinate error names the
+    first offending row, with the constructor's message.
+    """
+    bad = np.flatnonzero((lefts < 0) | (rights < lefts))
+    if bad.size:
+        left, right = int(lefts[bad[0]]), int(rights[bad[0]])
+        if left < 0:
+            raise CoordinateError(f"negative left end: {left}")
+        raise CoordinateError(f"inverted region: [{left}, {right})")
+    for strand in strands:
+        if strand not in STRANDS:
+            raise CoordinateError(
+                f"bad strand {strand!r}; expected one of {STRANDS}"
+            )
+    if not all(chroms):
+        raise CoordinateError("empty chromosome name")
 
 
 class GenomicRegion:

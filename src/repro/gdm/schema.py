@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.errors import SchemaError
@@ -331,3 +332,26 @@ class MergedSchema:
             if value is not None:
                 out[target] = value
         return tuple(out)
+
+    def combine_columns(self, left_rows: list, right_rows: list) -> list:
+        """:meth:`combine` over many rows at once, a column at a time.
+
+        *left_rows* and *right_rows* are row-aligned lists of operand
+        value tuples.  Returns one list per merged attribute; the i-th
+        entries of the lists make ``combine(left_rows[i],
+        right_rows[i])``.  A row narrower than its operand's schema
+        raises ``IndexError``, as in :meth:`combine`.
+        """
+        columns: list = [
+            list(map(itemgetter(index), left_rows))
+            for index in range(self._widths[0])
+        ]
+        columns += [None] * len(self._padding)
+        for source, target in self._right_targets:
+            right = list(map(itemgetter(source), right_rows))
+            left = columns[target]
+            columns[target] = right if left is None else [
+                value if value is not None else kept
+                for value, kept in zip(right, left)
+            ]
+        return columns

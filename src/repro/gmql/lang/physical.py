@@ -396,4 +396,8 @@ def plan_program(
         return physical
 
     outputs = {name: build(node) for name, node in compiled.outputs.items()}
+    # ``build`` reaches itself through its closure cell; clearing the
+    # cell breaks that cycle, so *datasets* and the plan it closes over
+    # are freed by reference counting, not at the next full collection.
+    del build
     return PhysicalProgram(outputs, engine, summaries)

@@ -35,7 +35,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.gdm.region import chromosome_sort_key
-from repro.gdm.sample import RegionList
+from repro.gdm.sample import (
+    RegionList,
+    reset_rows_materialised,
+    rows_materialised,
+)
 from repro.intervals.bins import DEFAULT_BIN_SIZE
 
 #: Integer strand encoding used by block ``strands`` arrays: forward is
@@ -76,16 +80,21 @@ def _count(name: str) -> None:
 
 
 def reset_store_counters() -> None:
-    """Zero the process-wide block counters (test/benchmark isolation)."""
+    """Zero the process-wide counters (test/benchmark isolation)."""
     with _COUNTERS_LOCK:
         for name in _PROCESS_COUNTERS:
             _PROCESS_COUNTERS[name] = 0
+    reset_rows_materialised()
 
 
 def store_counters() -> dict:
-    """Snapshot of the process-wide block counters."""
+    """Snapshot of the process-wide block counters, plus
+    ``rows_materialised``: region objects built from samples born as
+    columns (:func:`repro.gdm.sample.rows_materialised`)."""
     with _COUNTERS_LOCK:
-        return dict(_PROCESS_COUNTERS)
+        counters = dict(_PROCESS_COUNTERS)
+    counters["rows_materialised"] = rows_materialised()
+    return counters
 
 
 def chromosome_ranks(chroms) -> np.ndarray:
@@ -994,7 +1003,9 @@ class DatasetStore:
     def _sample_memos(self) -> list:
         return [
             memo
-            for memo in map(_peek_memo, (s.regions for s in self._dataset))
+            for memo in map(
+                _peek_memo, (s.peek_regions() for s in self._dataset)
+            )
             if memo is not None
         ]
 

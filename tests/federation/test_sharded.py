@@ -187,6 +187,26 @@ class TestTiedChromosomeNames:
         assert outcome.degraded is False
         assert rows(outcome.datasets["X"]) == rows(baseline["X"])
 
+    def test_repeated_runs_do_not_double_shipped_shards(self):
+        """The planner re-ships missing shards on every run; a node
+        must replace, not add to, the slices it already holds."""
+        datasets = {
+            "A": _tied_names_dataset("A", 0),
+            "B": _tied_names_dataset("B", 3),
+        }
+        network = Network()
+        nodes = []
+        for index, group in enumerate((("chr01", "chr2"), ("chr1",))):
+            catalog = Catalog(f"n{index}")
+            for dataset in datasets.values():
+                catalog.register(slice_dataset(dataset, group))
+            nodes.append(FederationNode(f"n{index}", catalog, network))
+        client = FederatedClient(nodes, network)
+        program = "X = JOIN(DLE(100); output: LEFT) A B; MATERIALIZE X;"
+        expected = rows(single_node_run(datasets, program)["X"])
+        for __ in range(2):
+            assert rows(client.run_sharded(program).datasets["X"]) == expected
+
     def test_tie_predicate(self):
         assert chromosome_names_tie(["chr1", "chr01", "chr2"])
         assert not chromosome_names_tie(["chr1", "chr2", "chrX"])

@@ -103,6 +103,38 @@ class TestLocalCluster:
         )
 
 
+class TestTiedChromosomeNamesOverWorkers:
+    """``TestTiedChromosomeNames`` of ``test_sharded.py`` over real worker
+    processes: ``chr1``/``chr01`` rows interleave by position, so the
+    tied names must not be merged as separate per-chromosome runs."""
+
+    PROGRAMS = (
+        "X = MAP(n AS COUNT) A B; MATERIALIZE X;",
+        "X = JOIN(DLE(100); output: LEFT) A B; MATERIALIZE X;",
+        "X = COVER(1, ANY) A; MATERIALIZE X;",
+    )
+
+    def test_cluster_runs_match_columnar(self):
+        from tests.federation.test_sharded import (
+            _tied_names_dataset,
+            single_node_run as run_columnar,
+        )
+
+        sources = {
+            "A": _tied_names_dataset("A", 0),
+            "B": _tied_names_dataset("B", 3),
+        }
+        with LocalCluster(sources, nodes=2) as cluster:
+            for program in self.PROGRAMS:
+                outcome = cluster.run(program)
+                baseline = run_columnar(sources, program)
+                assert outcome.strategy == "sharded", program
+                assert outcome.degraded is False, program
+                assert rows(outcome.datasets["X"]) == rows(baseline["X"]), (
+                    program
+                )
+
+
 class TestWorkerProxyFailureMapping:
     def test_dead_worker_maps_to_host_down(self):
         from repro.errors import HostDownError

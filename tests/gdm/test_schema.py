@@ -200,3 +200,18 @@ class TestSchemaMerging:
             assert merged.combine(longer, right_rows[0]) == definition(
                 longer, right_rows[0]
             )
+        # combine_columns is combine a column at a time, row for row.
+        pairs = [(l, r) for l in left_rows for r in right_rows]
+        if left:
+            pairs.append((left_rows[0] + ("spare",), right_rows[1]))
+        if right:
+            pairs.append((left_rows[1], right_rows[0] + ("spare",)))
+        lefts, rights = [l for l, __ in pairs], [r for __, r in pairs]
+        columns = merged.combine_columns(lefts, rights)
+        assert len(columns) == len(layout)
+        assert repr(list(zip(*columns))) == repr(
+            [merged.combine(l, r) for l, r in pairs]
+        )
+        if left:
+            with pytest.raises(IndexError):
+                merged.combine_columns([()], right_rows[:1])

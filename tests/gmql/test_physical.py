@@ -207,3 +207,26 @@ class TestInterpreterPhysical:
         scans = [n for n in physical.walk() if n.kind == "scan"]
         assert len(scans) == 1
         assert scans[0].actual_regions == data.region_count()
+
+
+def test_planning_leaves_no_cycle_holding_the_sources():
+    """Dropping the sources after planning frees them at once: the
+    planner's recursive closure must not keep them alive until the
+    next full collection (a warm process may not run one for long)."""
+    import gc
+    import weakref
+
+    class Sources(dict):
+        """A sources mapping a weak reference can watch."""
+
+    datasets = Sources(DATA=random_dataset(3))
+    held = weakref.ref(datasets)
+    compiled = optimize(compile_program(QUERY))
+    gc.disable()
+    try:
+        physical = plan_program(compiled, datasets=datasets, engine="columnar")
+        assert physical.outputs
+        del datasets
+        assert held() is None
+    finally:
+        gc.enable()

@@ -158,6 +158,46 @@ class TestRegionSortKeyRule:
         )
 
 
+class TestColumnarRegionBuildRule:
+    SNIPPET = SNIPPET_DIR / "rl011_columnar_region_build.py"
+
+    def scoped(self, tmp_path, monkeypatch) -> Path:
+        module = tmp_path / "src" / "repro" / "engine" / "columnar.py"
+        rules = [
+            lint.Rule(rule.code, rule.summary, rule.check,
+                      only_under=(module,))
+            if rule.code == "RL011" else rule
+            for rule in lint.RULES
+        ]
+        monkeypatch.setattr(lint, "RULES", tuple(rules))
+        module.parent.mkdir(parents=True)
+        return module
+
+    def test_rl011_fires_in_the_columnar_engine(self, tmp_path, monkeypatch):
+        module = self.scoped(tmp_path, monkeypatch)
+        module.write_text(self.SNIPPET.read_text())
+        problems = lint.check_file(module, {"RL011"}, root=tmp_path)
+        assert [p.line for p in problems] == [
+            line for __, line in expectations(self.SNIPPET)
+        ]
+
+    def test_rl011_leaves_other_engine_modules_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """The rest of ``src`` -- the row sources themselves, ``naive``'s
+        operator library -- builds region objects by definition."""
+        module = self.scoped(tmp_path, monkeypatch)
+        other = module.parent / "naive.py"
+        other.write_text(self.SNIPPET.read_text())
+        assert lint.check_file(other, {"RL011"}, root=tmp_path) == []
+
+    def test_the_real_rule_is_scoped_to_the_columnar_engine(self):
+        (rule,) = [rule for rule in lint.RULES if rule.code == "RL011"]
+        assert rule.applies_to(lint.COLUMNAR_ENGINE)
+        assert not rule.applies_to(lint.ENGINE_DIR / "naive.py")
+        assert not rule.applies_to(lint.SRC_DIR / "repro" / "gdm" / "sample.py")
+
+
 class TestRuleSelection:
     def test_select_narrows_to_the_named_codes(self):
         assert lint.active_codes(select="RL001,RL007") == {"RL001", "RL007"}

@@ -1,6 +1,7 @@
 """WarmState bounds and reports: the compiled-program LRU, the pool size
 and the store block counters."""
 
+from repro.gdm import results_digest
 from repro.gmql.lang import execute
 from repro.serve import state as state_mod
 from repro.serve.state import WarmState
@@ -57,3 +58,18 @@ def test_store_stats_count_blocks_of_derived_datasets():
     after = state.stats()["store"]
     assert after["blocks_built"] > before["blocks_built"]
     assert after["resident_bytes"] == before["resident_bytes"]
+
+
+def test_store_stats_count_rows_materialised():
+    # A COVER result is born as columns: digesting it builds no region
+    # objects, asking for its regions builds each row once.
+    state = WarmState(make_sources(), engine="columnar")
+    state.warm()
+    before = state.stats()["store"]["rows_materialised"]
+    results = execute("C = COVER(1, ANY) EXP; MATERIALIZE C;",
+                      state.sources, engine="columnar")
+    results_digest(results)
+    assert state.stats()["store"]["rows_materialised"] == before
+    (sample, *__) = results["C"]
+    assert sample.regions
+    assert state.stats()["store"]["rows_materialised"] == before + len(sample)

@@ -198,7 +198,11 @@ class TestOpenRejections:
         os.unlink(final / SEGMENTS_NAME)
         assert PersistedStore.open(tmp_path, digest, BIN) is None
 
-    def test_open_miss_falls_back_to_in_memory_build(self, tmp_path):
+    def test_open_miss_falls_back_to_in_memory_build(self, tmp_path,
+                                                     monkeypatch):
+        # The build would start a background persist, whose own builds
+        # (the other sample, the union) race the count asserted here.
+        monkeypatch.setattr(DatasetStore, "_schedule_persist", lambda self: None)
         store = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
         blocks = store.blocks(next(iter(store._dataset)))
         assert store.blocks_built == 1

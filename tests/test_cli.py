@@ -91,6 +91,13 @@ class TestRun:
             f"persistent store: {mapped} block set(s) mapped, {built} built,"
             in out
         )
+        # The disk result-cache write pickles the COVER result, which
+        # materialises its rows.
+        materialised = (
+            after["rows_materialised"] - before["rows_materialised"]
+        )
+        assert materialised > 0
+        assert f"rows materialised: {materialised}\n" in out
 
     def test_run_columnar_engine(self, capsys, encode_dir, program_file):
         code = main(
