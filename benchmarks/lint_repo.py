@@ -31,6 +31,9 @@ RL011     ``GenomicRegion(...)`` or ``.with_values(...)`` call in
           ``src/repro/engine/columnar.py`` (its outputs are born as
           columns; rows are built only by the row sources'
           materialisation in ``repro.gdm.sample``)
+RL012     ``perf_counter`` import under ``src/repro/engine`` or
+          ``src/repro/gmql`` outside ``engine/context.py`` (the
+          interpreter's per-node span is the one execution timer)
 ========  =======================================================
 
 Checked trees: ``src``, ``tests``, ``benchmarks``.  The golden corpus
@@ -38,8 +41,9 @@ of *intentionally* violating snippets under ``tests/lint/snippets/`` is
 exempt from the sweep (each snippet exists to trip exactly one rule,
 verified by ``tests/lint/test_lint_rules.py``).  A rule may also be
 scoped to some trees only (RL009: ``src``, RL010: ``src/repro/engine``,
-RL011: ``src/repro/engine/columnar.py`` -- each also the corpus, so its
-snippet trips it).
+RL011: ``src/repro/engine/columnar.py``, RL012: ``src/repro/engine``
+and ``src/repro/gmql`` -- each also the corpus, so its snippet trips
+it).
 
 Exits nonzero listing ``path:line: RL0xx message`` for every violation.
 """
@@ -57,6 +61,8 @@ CHECKED_TREES = ("src", "tests", "benchmarks")
 SRC_DIR = ROOT / "src"
 ENGINE_DIR = ROOT / "src" / "repro" / "engine"
 COLUMNAR_ENGINE = ENGINE_DIR / "columnar.py"
+CONTEXT_MODULE = ENGINE_DIR / "context.py"
+GMQL_DIR = ROOT / "src" / "repro" / "gmql"
 SNIPPET_DIR = ROOT / "tests" / "lint" / "snippets"
 CLOCK_MODULE = ROOT / "src" / "repro" / "resilience" / "clock.py"
 SHM_MODULE = ROOT / "src" / "repro" / "store" / "shm.py"
@@ -281,6 +287,18 @@ def _check_columnar_region_build(rel, node, enclosing):
         )
 
 
+def _check_span_timer(rel, node, enclosing):
+    if isinstance(node, ast.ImportFrom) and any(
+        alias.name == "perf_counter" for alias in node.names
+    ):
+        yield (
+            node.lineno,
+            "perf_counter imported by the engine or the language -- time "
+            "execution with the interpreter's spans "
+            "(repro.engine.context), not a second timer",
+        )
+
+
 @dataclass(frozen=True)
 class Rule:
     """One table row: a stable code, a per-node checker, its scope."""
@@ -318,6 +336,9 @@ RULES: tuple = (
     Rule("RL011", "region object built in engine/columnar.py",
          _check_columnar_region_build,
          only_under=(COLUMNAR_ENGINE, SNIPPET_DIR)),
+    Rule("RL012", "perf_counter import under engine/ or gmql/",
+         _check_span_timer, exempt=(CONTEXT_MODULE,),
+         only_under=(ENGINE_DIR, GMQL_DIR, SNIPPET_DIR)),
 )
 
 #: Codes handled outside the per-node table (parse + repo-level checks).

@@ -346,10 +346,10 @@ def _run_with_chaos(args, injector) -> int:
     from repro.store.cache import reset_result_cache
 
     reset_result_cache()
+    interpreter = Interpreter(backend, sources, context=context)
     try:
-        results = Interpreter(backend, sources, context=context).run_program(
-            compiled
-        )
+        physical = interpreter.plan(compiled)
+        results = interpreter.run_physical(physical)
     finally:
         # Release worker pools deterministically (not via __del__).
         backend.close()
@@ -368,13 +368,11 @@ def _run_with_chaos(args, injector) -> int:
     if args.stats:
         print()
         print("engine statistics:")
-        for operator in sorted(backend.stats.operator_seconds):
-            seconds = backend.stats.operator_seconds[operator]
-            calls = backend.stats.operator_calls[operator]
-            print(f"  {operator:<12} {calls:>3} call(s)  {seconds * 1000:8.1f} ms")
-        print(f"  total kernel time: "
-              f"{backend.stats.total_seconds() * 1000:.1f} ms")
-        by_backend = backend.stats.by_backend()
+        calls, seconds, by_backend = _kernel_profile(physical)
+        for operator in sorted(seconds):
+            print(f"  {operator:<12} {calls[operator]:>3} call(s)  "
+                  f"{seconds[operator] * 1000:8.1f} ms")
+        print(f"  total kernel time: {sum(seconds.values()) * 1000:.1f} ms")
         if len(by_backend) > 1:
             print("  time by backend:")
             for name in sorted(by_backend):
@@ -404,6 +402,28 @@ def _run_with_chaos(args, injector) -> int:
     if injector is not None:
         print(f"chaos: {injector.summary()}")
     return 0
+
+
+def _kernel_profile(physical) -> tuple:
+    """``(calls, seconds, by_backend)`` over the plan nodes that ran a
+    kernel, read from their spans: calls and self time (the span minus
+    its nested operand spans) per operator, self time per backend."""
+    calls: dict = {}
+    seconds: dict = {}
+    by_backend: dict = {}
+    for node in physical.walk():
+        span = node.span
+        if span is None or span.attributes["backend"] in (
+            "source", "empty", "cache"
+        ):
+            continue
+        operator = node.kind.upper()
+        own = span.self_seconds()
+        calls[operator] = calls.get(operator, 0) + 1
+        seconds[operator] = seconds.get(operator, 0.0) + own
+        backend = span.attributes["backend"]
+        by_backend[backend] = by_backend.get(backend, 0.0) + own
+    return calls, seconds, by_backend
 
 
 def _run_sharded_cluster(args, program, sources, injector) -> int:

@@ -7,17 +7,18 @@
   pool (an executor, not a second encoding);
 * ``sharded``  -- chromosome-group shards of the columnar operators,
   recombined by ``merge_partials``;
-* ``auto``     -- per-operator routing between the above, driven by the
-  physical planner's cost estimates.
+* ``auto``     -- per-operator routing between ``naive``, ``columnar``
+  and ``parallel``, driven by the physical planner's cost estimates.
 
 This mirrors the paper's section 4.2: one compiler and optimizer, the
-operator encodings shared, the execution framework swapped underneath.  Execution is
-observed through :class:`ExecutionContext` (span tracing, metrics,
-deadline/cancellation) threaded from the interpreter into every kernel.
+operator encodings shared, the execution framework swapped underneath.
+Execution is observed through :class:`ExecutionContext` (one span per
+physical plan node, metrics, deadline/cancellation) threaded from the
+interpreter into every kernel.
 """
 
 from repro.engine.auto import AutoBackend, choose_backend
-from repro.engine.base import Backend, EngineStats, NodeStat
+from repro.engine.base import Backend
 from repro.engine.context import (
     ExecutionContext,
     MetricsRegistry,
@@ -34,11 +35,9 @@ from repro.engine.naive import NaiveBackend
 __all__ = [
     "AutoBackend",
     "Backend",
-    "EngineStats",
     "ExecutionContext",
     "MetricsRegistry",
     "NaiveBackend",
-    "NodeStat",
     "Span",
     "SpanTracer",
     "available_backends",

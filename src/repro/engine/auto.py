@@ -8,17 +8,15 @@ to amortise pickling, mid-size work goes to the numpy columnar kernels,
 and tiny inputs stay on the naive record-at-a-time reference where
 per-call overhead dominates.
 
-Two entry points share one policy, :func:`choose_backend`:
-
-* the physical planner (:mod:`repro.gmql.lang.physical`) calls it with
-  *estimated* cardinalities at plan time, annotating each node;
-* :class:`AutoBackend` calls it with *actual* input sizes when its
-  kernels are invoked directly (outside a physical plan).
+The policy, :func:`choose_backend`, runs once per node at plan time:
+the physical planner (:mod:`repro.gmql.lang.physical`) calls it with
+*estimated* cardinalities and annotates each node, and
+:class:`AutoBackend` hands the interpreter the delegate the node names.
 """
 
 from __future__ import annotations
 
-from repro.engine.base import Backend, EngineStats
+from repro.engine.base import Backend
 from repro.store import shared_memory_available
 
 #: Input-region count above which region-heavy operators are worth
@@ -82,17 +80,17 @@ def choose_backend(
     kind:
         Plan-node kind (``map``, ``select``...), lower-case.
     input_regions:
-        Total regions across the operator's inputs (estimated or actual).
+        Estimated total regions across the operator's inputs.
     available:
         Registered backend names; choices degrade gracefully when the
         parallel or columnar backend is unavailable.
     effects:
         The node's inferred :class:`~repro.gmql.lang.effects.Effects`
         record, when the caller has one.  Replaces the hard-coded
-        operator allowlists: sharding requires chromosome locality,
-        fan-out requires morsel safety, and a finite ``input_bound``
-        caps the bare row-count estimate (a provably small input never
-        routes to a heavyweight backend on an inflated estimate).
+        operator allowlists: fan-out requires morsel safety, and a
+        finite ``input_bound`` caps the bare row-count estimate (a
+        provably small input never routes to a heavyweight backend on
+        an inflated estimate).
     """
     kind = kind.lower()
     if kind == SOURCE_KIND:
@@ -105,34 +103,10 @@ def choose_backend(
                 f"<={effects.input_bound})"
             )
             input_regions = effects.input_bound
-    chrom_local = (
-        effects.chrom_local if effects is not None
-        else kind in PARALLEL_OPERATORS
-    )
     morsel_safe = (
         effects.morsel_safe if effects is not None
         else kind in PARALLEL_OPERATORS
     )
-    from repro.engine.sharded import shard_groups_from_env
-    from repro.gmql.lang.effects import SHARD_WORTHWHILE_KINDS
-
-    shard_groups = shard_groups_from_env()
-    if (
-        shard_groups is not None
-        and chrom_local
-        and kind in SHARD_WORTHWHILE_KINDS
-        and kind in PARALLEL_OPERATORS
-        and input_regions >= COLUMNAR_KIND_THRESHOLDS.get(
-            kind, COLUMNAR_REGION_THRESHOLD
-        )
-        and "sharded" in available
-    ):
-        return (
-            "sharded",
-            f"{kind} over ~{int(input_regions)} regions: "
-            f"REPRO_SHARD_GROUPS={shard_groups} chromosome groups"
-            f"{bound_note}",
-        )
     if (
         kind in PARALLEL_OPERATORS
         and morsel_safe
@@ -160,18 +134,14 @@ def choose_backend(
 
 
 class AutoBackend(Backend):
-    """Routes every kernel call to the cheapest registered backend.
+    """Runs each physical node on the backend the planner routed it to.
 
-    Delegate backends are created lazily and share this backend's
-    :class:`EngineStats` object, so per-invocation records carry the
-    *executing* backend's name while aggregates stay in one place.
+    Delegate backends are created lazily, one per name, and share this
+    backend's context; the interpreter's span for each node records the
+    delegate that ran it.
     """
 
     name = "auto"
-
-    #: Interpreters use this flag to route physical plan nodes through
-    #: :meth:`delegate` (per-node dispatch) instead of calling run_* here.
-    per_node_dispatch = True
 
     def __init__(self, workers: int | None = None, pool=None) -> None:
         super().__init__()
@@ -187,7 +157,6 @@ class AutoBackend(Backend):
         backend = self._delegates.get(name)
         if backend is None:
             backend = self._make_delegate(name)
-            backend.stats = self.stats
             if self._context is not None:
                 backend.bind_context(self._context)
             self._delegates[name] = backend
@@ -212,72 +181,7 @@ class AutoBackend(Backend):
             backend.bind_context(context)
         return self
 
-    def reset_stats(self) -> None:
-        self.stats = EngineStats()
-        for backend in self._delegates.values():
-            backend.stats = self.stats
-
     def close(self) -> None:
         """Release delegate resources (worker pools); idempotent."""
         for backend in self._delegates.values():
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
-
-    # -- direct kernel dispatch (used outside physical plans) -------------------
-
-    def _route(self, plan, *inputs) -> Backend:
-        from repro.engine.dispatch import available_backends
-        from repro.gmql.lang.effects import node_effects
-
-        regions = sum(
-            dataset.region_count() for dataset in inputs if dataset is not None
-        )
-        # Node-level effects: the inputs are materialised datasets, so
-        # only the operator's own locality/morsel safety matters here.
-        name, __ = choose_backend(
-            plan.kind, regions, available_backends(),
-            effects=node_effects(plan),
-        )
-        return self.delegate(name)
-
-    def run_select(self, plan, child, semijoin_data):
-        return self._route(plan, child, semijoin_data).run_select(
-            plan, child, semijoin_data
-        )
-
-    def run_project(self, plan, child):
-        return self._route(plan, child).run_project(plan, child)
-
-    def run_extend(self, plan, child):
-        return self._route(plan, child).run_extend(plan, child)
-
-    def run_merge(self, plan, child):
-        return self._route(plan, child).run_merge(plan, child)
-
-    def run_group(self, plan, child):
-        return self._route(plan, child).run_group(plan, child)
-
-    def run_order(self, plan, child):
-        return self._route(plan, child).run_order(plan, child)
-
-    def run_union(self, plan, left, right):
-        return self._route(plan, left, right).run_union(plan, left, right)
-
-    def run_difference(self, plan, left, right):
-        return self._route(plan, left, right).run_difference(
-            plan, left, right
-        )
-
-    def run_cover(self, plan, child):
-        return self._route(plan, child).run_cover(plan, child)
-
-    def run_map(self, plan, reference, experiment):
-        return self._route(plan, reference, experiment).run_map(
-            plan, reference, experiment
-        )
-
-    def run_join(self, plan, anchor, experiment):
-        return self._route(plan, anchor, experiment).run_join(
-            plan, anchor, experiment
-        )
+            backend.close()

@@ -5,128 +5,35 @@ language components, while the compiler, logical optimizer, and APIs/UIs
 are independent from the adoption of either framework" (paper, section
 4.2).  We reproduce exactly that architecture: one logical plan, several
 :class:`Backend` implementations that differ only in their operator
-kernels.  The interpreter (:mod:`repro.gmql.lang.interpreter`) calls the
-``run_*`` methods and never looks inside.
+kernels.  The interpreter (:mod:`repro.gmql.lang.interpreter`) runs a
+physical plan, asks the backend for the :meth:`Backend.delegate` that
+executes each node, calls its ``run_*`` method and never looks inside.
 
-Backends collect :class:`EngineStats`: one :class:`NodeStat` record per
-kernel invocation (operator, executing backend, plan-node label, wall
-time, output cardinalities), with aggregate views (``operator_seconds``,
-``operator_calls``...) kept for the framework-comparison benchmark
-(experiment E7) and other pre-existing consumers.
-
-A backend may be bound to an :class:`~repro.engine.context.ExecutionContext`
-(:meth:`Backend.bind_context`): every kernel then checks for
-cancellation/deadline before running and accounts per-operator metrics
-into the context's registry.
+Backends keep no record of what they ran: the interpreter's span per
+plan node (:class:`~repro.engine.context.Span`, wall time, cardinalities
+and the executing backend) is the one record of an execution.  A
+backend bound to an :class:`~repro.engine.context.ExecutionContext`
+(:meth:`Backend.bind_context`) checks it for cancellation/deadline
+before every kernel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.gdm import Dataset
-from repro.resilience.clock import perf_counter
-
-
-@dataclass(frozen=True)
-class NodeStat:
-    """One kernel invocation: which operator ran where, on what, for how long."""
-
-    operator: str
-    backend: str
-    seconds: float
-    regions: int
-    samples: int
-    label: str = ""
-
-
-class EngineStats:
-    """Accumulated execution statistics for one query run.
-
-    Stored as a flat list of per-invocation :class:`NodeStat` records;
-    the dictionary views used by older callers (``operator_seconds``,
-    ``operator_calls``) are derived on access.
-    """
-
-    def __init__(self) -> None:
-        self.records: list = []
-
-    def record(
-        self,
-        operator: str,
-        seconds: float,
-        result: Dataset,
-        backend: str = "",
-        label: str = "",
-    ) -> None:
-        """Account one operator invocation."""
-        self.records.append(
-            NodeStat(
-                operator,
-                backend,
-                seconds,
-                result.region_count(),
-                len(result),
-                label,
-            )
-        )
-
-    # -- aggregate views (backwards compatible) ---------------------------------
-
-    @property
-    def operator_seconds(self) -> dict:
-        """``{operator: total seconds}`` across all invocations."""
-        out: dict = {}
-        for stat in self.records:
-            out[stat.operator] = out.get(stat.operator, 0.0) + stat.seconds
-        return out
-
-    @property
-    def operator_calls(self) -> dict:
-        """``{operator: number of invocations}``."""
-        out: dict = {}
-        for stat in self.records:
-            out[stat.operator] = out.get(stat.operator, 0) + 1
-        return out
-
-    @property
-    def regions_produced(self) -> int:
-        return sum(stat.regions for stat in self.records)
-
-    @property
-    def samples_produced(self) -> int:
-        return sum(stat.samples for stat in self.records)
-
-    def total_seconds(self) -> float:
-        """Total time spent inside operator kernels."""
-        return sum(stat.seconds for stat in self.records)
-
-    def by_backend(self) -> dict:
-        """``{backend: total seconds}`` -- where time went under ``auto``."""
-        out: dict = {}
-        for stat in self.records:
-            key = stat.backend or "?"
-            out[key] = out.get(key, 0.0) + stat.seconds
-        return out
-
-    def merge(self, other: "EngineStats") -> "EngineStats":
-        """Fold another stats object's records into this one."""
-        self.records.extend(other.records)
-        return self
 
 
 class Backend:
     """Base class of execution backends.
 
     Subclasses implement the ``run_*`` kernels; the base class provides
-    stats accounting via :meth:`timed` and optional context binding.
+    the pre-kernel cancellation check (:meth:`checked`), context binding
+    and the one-backend :meth:`delegate`.
     """
 
     #: Backend name used by :func:`repro.engine.dispatch.get_backend`.
     name = "abstract"
 
     def __init__(self) -> None:
-        self.stats = EngineStats()
         self._context = None
 
     @property
@@ -137,6 +44,14 @@ class Backend:
     def bind_context(self, context) -> "Backend":
         """Attach an execution context (cancellation, metrics, config)."""
         self._context = context
+        return self
+
+    def delegate(self, name: str) -> "Backend":
+        """The backend that executes a physical node routed to *name*.
+
+        A named engine runs every node itself; only ``auto`` routes
+        nodes to other backends.
+        """
         return self
 
     # -- resource lifecycle -----------------------------------------------------
@@ -218,29 +133,12 @@ class Backend:
         if span is not None:
             span.annotate(kernel=name)
 
-    def reset_stats(self) -> None:
-        """Clear accumulated statistics (e.g. between benchmark runs)."""
-        self.stats = EngineStats()
-
-    def timed(self, operator: str, fn, *args, **kwargs) -> Dataset:
-        """Run an operator kernel and record its cost."""
-        context = self._context
-        label = ""
-        if context is not None:
-            context.check()
-            current = context.tracer.current
-            if current is not None:
-                label = current.label
-        started = perf_counter()
-        result = fn(*args, **kwargs)
-        seconds = perf_counter() - started
-        self.stats.record(
-            operator, seconds, result, backend=self.name, label=label
-        )
-        if context is not None:
-            context.metrics.increment(f"operator.{operator}.calls")
-            context.metrics.observe(f"operator.{operator}.seconds", seconds)
-        return result
+    def checked(self, operator: str, fn, *args, **kwargs) -> Dataset:
+        """Run the *operator* kernel ``fn(*args, **kwargs)`` once the
+        bound context has passed its cancellation/deadline check."""
+        if self._context is not None:
+            self._context.check()
+        return fn(*args, **kwargs)
 
     # -- operator kernels (one per logical plan node kind) ---------------------
 

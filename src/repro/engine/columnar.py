@@ -731,7 +731,7 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar",
             )
 
-        return self.timed("SELECT", kernel)
+        return self.checked("SELECT", kernel)
 
     # -- MAP ---------------------------------------------------------------------
 
@@ -805,7 +805,7 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar-count",
             )
 
-        return self.timed("MAP", kernel)
+        return self.checked("MAP", kernel)
 
     def _run_map_pairs(self, plan, reference, experiment, aggregates):
         def kernel():
@@ -872,7 +872,7 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar-pairs",
             )
 
-        return self.timed("MAP", kernel)
+        return self.checked("MAP", kernel)
 
     # -- COVER --------------------------------------------------------------------
 
@@ -924,7 +924,7 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar",
             )
 
-        return self.timed("COVER", kernel)
+        return self.checked("COVER", kernel)
 
     # -- JOIN -------------------------------------------------------------------------
 
@@ -1004,7 +1004,7 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar-kernel",
             )
 
-        return self.timed("JOIN", kernel)
+        return self.checked("JOIN", kernel)
 
     # -- DIFFERENCE ------------------------------------------------------------------
 
@@ -1068,4 +1068,4 @@ class ColumnarBackend(NaiveBackend):
                 parameters="columnar",
             )
 
-        return self.timed("DIFFERENCE", kernel)
+        return self.checked("DIFFERENCE", kernel)

@@ -1,9 +1,10 @@
 """Execution context: tracing, metrics, deadlines and engine configuration.
 
 One :class:`ExecutionContext` accompanies one query run.  The interpreter
-opens a :class:`Span` per physical plan node, backends check the context
-for cancellation before each kernel and account per-operator metrics, and
-the CLI renders the resulting span tree for ``repro explain --analyze``.
+opens a :class:`Span` per physical plan node -- the one record of what
+ran where, on what, for how long -- and backends check the context for
+cancellation before each kernel.  ``repro explain --analyze`` and
+``repro run --stats``/``--trace`` all read that span tree.
 
 The context is deliberately backend-agnostic: it carries no datasets and
 no plan objects, only observability state and configuration (worker
@@ -71,6 +72,10 @@ class Span:
         self.attributes.update(attributes)
         return self
 
+    def self_seconds(self) -> float:
+        """Time spent in this span outside its nested child spans."""
+        return self.seconds - sum(child.seconds for child in self.children)
+
     def total_regions(self, key: str = "output_regions") -> int:
         """Convenience accessor for a cardinality attribute (0 when unset)."""
         return int(self.attributes.get(key, 0) or 0)
@@ -132,41 +137,20 @@ class SpanTracer:
 
 
 class MetricsRegistry:
-    """Named counters and value distributions for one run."""
+    """Named counters for one run."""
 
     def __init__(self) -> None:
         self._counters: dict = {}
-        self._observations: dict = {}
 
     def increment(self, name: str, amount: int = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + amount
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample of a value distribution (count/sum/min/max)."""
-        stats = self._observations.get(name)
-        if stats is None:
-            self._observations[name] = [1, value, value, value]
-        else:
-            stats[0] += 1
-            stats[1] += value
-            stats[2] = min(stats[2], value)
-            stats[3] = max(stats[3], value)
 
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        """Plain-dict view: counters plus per-distribution summaries."""
-        out = dict(self._counters)
-        for name, (count, total, lo, hi) in self._observations.items():
-            out[name] = {
-                "count": count,
-                "total": total,
-                "min": lo,
-                "max": hi,
-                "mean": total / count,
-            }
-        return out
+        """Plain-dict view of the counters."""
+        return dict(self._counters)
 
 
 class ExecutionContext:

@@ -26,7 +26,7 @@ class NaiveBackend(Backend):
             semijoin = SemiJoin(
                 plan.semijoin_attributes, semijoin_data, plan.semijoin_negated
             )
-        return self.timed(
+        return self.checked(
             "SELECT",
             ops.select,
             child,
@@ -36,7 +36,7 @@ class NaiveBackend(Backend):
         )
 
     def run_project(self, plan, child: Dataset):
-        return self.timed(
+        return self.checked(
             "PROJECT",
             ops.project,
             child,
@@ -50,13 +50,13 @@ class NaiveBackend(Backend):
         )
 
     def run_extend(self, plan, child: Dataset):
-        return self.timed("EXTEND", ops.extend, child, plan.assignments)
+        return self.checked("EXTEND", ops.extend, child, plan.assignments)
 
     def run_merge(self, plan, child: Dataset):
-        return self.timed("MERGE", ops.merge, child, plan.groupby)
+        return self.checked("MERGE", ops.merge, child, plan.groupby)
 
     def run_group(self, plan, child: Dataset):
-        return self.timed(
+        return self.checked(
             "GROUP",
             ops.group,
             child,
@@ -66,7 +66,7 @@ class NaiveBackend(Backend):
         )
 
     def run_order(self, plan, child: Dataset):
-        return self.timed(
+        return self.checked(
             "ORDER",
             ops.order,
             child,
@@ -77,15 +77,15 @@ class NaiveBackend(Backend):
         )
 
     def run_union(self, plan, left: Dataset, right: Dataset):
-        return self.timed("UNION", ops.union, left, right)
+        return self.checked("UNION", ops.union, left, right)
 
     def run_difference(self, plan, left: Dataset, right: Dataset):
-        return self.timed(
+        return self.checked(
             "DIFFERENCE", ops.difference, left, right, plan.joinby, plan.exact
         )
 
     def run_cover(self, plan, child: Dataset):
-        return self.timed(
+        return self.checked(
             "COVER",
             ops.cover,
             child,
@@ -96,7 +96,7 @@ class NaiveBackend(Backend):
         )
 
     def run_map(self, plan, reference: Dataset, experiment: Dataset):
-        return self.timed(
+        return self.checked(
             "MAP",
             ops.map_regions,
             reference,
@@ -106,7 +106,7 @@ class NaiveBackend(Backend):
         )
 
     def run_join(self, plan, anchor: Dataset, experiment: Dataset):
-        return self.timed(
+        return self.checked(
             "JOIN",
             ops.join,
             anchor,

@@ -96,8 +96,17 @@ class ParallelBackend(ColumnarBackend):
         The pool is created lazily on first kernel call, so rebinding
         before execution re-sizes it; once the pool exists it is kept
         (one ``ProcessPoolExecutor`` per backend instance, reused across
-        kernels).
+        kernels).  Replacing or unbinding a context ends its query, so
+        the shipper releases every array that query did not ship: a
+        backend that lives for many queries holds only the last one's,
+        and a resident source keeps its segments.
         """
+        if (
+            self._shipper is not None
+            and self._context is not None
+            and context is not self._context
+        ):
+            self._shipper.release_unused()
         super().bind_context(context)
         if (
             context is not None

@@ -9,9 +9,9 @@ uses -- so the merge path that must be byte-identical to single-node
 execution is exercised locally on every run, with no processes or
 network involved.
 
-Group count comes from ``REPRO_SHARD_GROUPS`` (the ``auto`` backend
-routes region-heavy operators here only when that variable is set).
-Which kernels shard is decided by the inferred effect annotations
+The group count is the constructor's ``groups``; without one every
+chromosome is its own group (``--engine sharded``).  Which kernels
+shard is decided by the inferred effect annotations
 (:mod:`repro.gmql.lang.effects`): chromosome-local region-matching
 operators shard, while cross-chromosome aggregation (EXTEND/MERGE/
 ORDER/GROUP) and per-sample bookkeeping operators delegate to the
@@ -20,26 +20,8 @@ inner backend unchanged.
 
 from __future__ import annotations
 
-import os
-
 from repro.engine.base import Backend
 from repro.gdm import chromosome_sort_key
-
-
-def shard_groups_from_env(default: int | None = None) -> int | None:
-    """Shard group count from ``REPRO_SHARD_GROUPS`` (``None`` when unset).
-
-    ``None``/*default* also for invalid or non-positive values, so an
-    unset or broken environment never changes execution strategy.
-    """
-    raw = os.environ.get("REPRO_SHARD_GROUPS", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
 
 
 class ShardedBackend(Backend):
@@ -53,12 +35,11 @@ class ShardedBackend(Backend):
         self._inner = None
 
     def inner(self) -> Backend:
-        """The delegate kernel backend (lazily built, shares stats)."""
+        """The delegate kernel backend (lazily built, shares the context)."""
         if self._inner is None:
             from repro.engine.dispatch import get_backend
 
             backend = get_backend("columnar")
-            backend.stats = self.stats
             if self._context is not None:
                 backend.bind_context(self._context)
             self._inner = backend
@@ -91,11 +72,7 @@ class ShardedBackend(Backend):
             partition_chromosomes,
         )
 
-        group_count = (
-            self._groups
-            if self._groups is not None
-            else shard_groups_from_env()
-        )
+        group_count = self._groups
         if group_count is not None and group_count < 2:
             return None
         weights: dict = {}

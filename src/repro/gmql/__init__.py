@@ -89,32 +89,17 @@ def run(program: str, datasets: dict, engine: str = "naive") -> dict:
     return execute(program, datasets, engine=engine)
 
 
-def run_with_stats(
-    program: str, datasets: dict, engine: str = "naive"
-) -> tuple:
-    """Like :func:`run`, but also returns the backend's
-    :class:`~repro.engine.base.EngineStats` (per-operator timings and
-    output volumes), for profiling and the framework-comparison benches.
-    """
-    from repro.engine.dispatch import get_backend
-    from repro.gmql.lang import Interpreter, compile_program, optimize
-
-    backend = get_backend(engine)
-    compiled = optimize(compile_program(program))
-    results = Interpreter(backend, datasets).run_program(compiled)
-    return results, backend.stats
-
-
 def run_analyzed(
     program: str, datasets: dict, engine: str = "auto", context=None
 ) -> tuple:
     """Run under EXPLAIN ANALYZE: ``(results, physical_program, context)``.
 
-    The physical program carries per-node backend choices and estimated
-    vs actual cardinalities/timings
-    (:meth:`~repro.gmql.lang.physical.PhysicalProgram.explain` with
-    ``analyze=True`` renders them); the context holds the span trace and
-    metrics registry.
+    The physical program carries per-node backend choices and estimates,
+    each node linked to its span of the context's trace (actual
+    cardinalities, timing and executing backend;
+    :meth:`~repro.gmql.lang.physical.PhysicalProgram.explain` with
+    ``analyze=True`` renders them); the context also holds the metrics
+    registry.
     """
     from repro.gmql.lang import explain_analyze
 
@@ -170,7 +155,6 @@ __all__ = [
     "register_aggregate",
     "run",
     "run_analyzed",
-    "run_with_stats",
     "select",
     "union",
 ]

@@ -91,11 +91,12 @@ def explain_analyze(
 ) -> tuple:
     """Run a program and return ``(results, physical_program, context)``.
 
-    The physical program's nodes carry estimated *and* actual
-    cardinalities, the chosen/executed backend and per-node wall time;
+    The physical program's nodes carry estimated cardinalities and the
+    chosen backend, each linked to its span in the context's trace
+    (actual cardinalities, executing backend, wall time);
     ``physical_program.explain(analyze=True)`` renders the annotated
     tree (this is what ``repro explain --analyze`` prints).  The context
-    additionally holds the full span trace and the metrics registry.
+    additionally holds the metrics registry.
     """
     from repro.engine.context import ExecutionContext
     from repro.engine.dispatch import get_backend

@@ -1,19 +1,20 @@
-"""Plan interpreter: evaluate plans on execution backends.
+"""Plan interpreter: run physical plans on execution backends.
 
 Programs are lowered to *physical* plans first
 (:mod:`repro.gmql.lang.physical`): every node carries a cardinality
-estimate and a chosen kernel backend.  Under the ``auto`` engine the
-interpreter routes each node to its annotated backend; under a named
-engine every node runs on the one backend it was constructed with, which
-preserves the historical behaviour.
+estimate and a chosen kernel backend, and the backend's
+:meth:`~repro.engine.base.Backend.delegate` for that name runs it.
+Under the ``auto`` engine that is the per-node choice; a named engine
+runs every node itself.
 
 Shared sub-plans are computed once (memoised by logical-node identity),
 then every output plan is materialised under its output name.  Execution
 is observed through an :class:`~repro.engine.context.ExecutionContext`:
 one nested span per plan node (wall time, input/output region and sample
-counts, backend), cancellation checked before every kernel.  The
-interpreter is the only component that touches both plans and engines;
-it contains no operator logic of its own.
+counts, executing backend), cancellation checked before every kernel.
+Each physical node keeps a reference to its span, which is the one
+record of the run.  The interpreter is the only component that touches
+both plans and engines; it contains no operator logic of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.gmql.lang.plan import (
     MapPlan,
     MergePlan,
     OrderPlan,
-    PlanNode,
     ProjectPlan,
     ScanPlan,
     SelectPlan,
@@ -47,9 +47,8 @@ class Interpreter:
     Parameters
     ----------
     backend:
-        The engine the query runs on.  Backends exposing
-        ``per_node_dispatch`` (the ``auto`` backend) are asked for a
-        delegate per physical node; others execute every node themselves.
+        The engine the query runs on; asked for a delegate per physical
+        node (only ``auto`` answers with another backend).
     context:
         Execution context (tracing, metrics, deadline, worker config); a
         fresh one is created when omitted.
@@ -59,24 +58,8 @@ class Interpreter:
         self._backend = backend
         self._datasets = datasets
         self.context = context if context is not None else ExecutionContext()
-        bind = getattr(backend, "bind_context", None)
-        if bind is not None:
-            bind(self.context)
+        backend.bind_context(self.context)
         self._memo: dict = {}
-
-    # -- logical evaluation (kept for direct plan-node callers) -----------------
-
-    def evaluate(self, node: PlanNode) -> Dataset:
-        """Evaluate one logical plan node (memoised by identity)."""
-        if id(node) in self._memo:
-            return self._memo[id(node)]
-        result = self._invoke(
-            self._backend, node, lambda index: self.evaluate(node.children[index])
-        )
-        if node.result_name:
-            result = result.with_name(node.result_name)
-        self._memo[id(node)] = result
-        return result
 
     def _scan(self, node: ScanPlan) -> Dataset:
         try:
@@ -92,12 +75,11 @@ class Interpreter:
         zero samples, no kernel involved."""
         return Dataset(node.result_name or "empty", node.schema, ())
 
-    def _invoke(self, backend, node: PlanNode, operand) -> Dataset:
+    def _invoke(self, backend, node, operand) -> Dataset:
         """Run one node's kernel on *backend*.
 
         ``operand(i)`` evaluates the node's i-th operand (in ``children``
-        order); the logical and physical paths supply their own
-        evaluators, so both share this single dispatch table.
+        order).
         """
         if isinstance(node, ScanPlan):
             return self._scan(node)
@@ -130,21 +112,16 @@ class Interpreter:
 
     # -- physical evaluation ----------------------------------------------------
 
-    def _kernel_backend(self, physical: PhysicalNode):
-        """The backend instance that executes one physical node."""
-        if getattr(self._backend, "per_node_dispatch", False):
-            return self._backend.delegate(physical.backend)
-        return self._backend
-
-    def evaluate_physical(self, physical: PhysicalNode) -> Dataset:
-        """Evaluate one physical node (memoised by logical identity).
+    def _run_node(self, physical: PhysicalNode) -> Dataset:
+        """Run one physical node (memoised by logical identity).
 
         When the context enables the result cache and the node carries a
         content-based fingerprint, the process-wide
         :func:`repro.store.cache.result_cache` is consulted first; a hit
         skips the kernel (and the whole subtree) entirely.  Scans are
         never cached -- they are already just dictionary lookups.  The
-        entry served or stored is recorded as ``physical.cache_entry``.
+        entry served or stored is recorded as ``physical.cache_entry``,
+        and the node's span as ``physical.span``.
         """
         node = physical.logical
         if id(node) in self._memo:
@@ -157,10 +134,7 @@ class Interpreter:
             ) as span:
                 result = self._empty(node)
                 span.annotate(output_regions=0, output_samples=0)
-            physical.actual_seconds = span.seconds
-            physical.actual_regions = 0
-            physical.actual_samples = 0
-            physical.executed_backend = "empty"
+            physical.span = span
             self._memo[id(node)] = result
             return result
         cache = None
@@ -186,10 +160,7 @@ class Interpreter:
                         output_regions=hit.region_count(),
                         output_samples=len(hit),
                     )
-                physical.actual_seconds = span.seconds
-                physical.actual_regions = hit.region_count()
-                physical.actual_samples = len(hit)
-                physical.executed_backend = "cache"
+                physical.span = span
                 physical.cached = True
                 physical.cache_entry = hit
                 result = hit
@@ -198,7 +169,7 @@ class Interpreter:
                 self._memo[id(node)] = result
                 return result
             self.context.metrics.increment("result_cache.misses")
-        backend = self._kernel_backend(physical)
+        backend = self._backend.delegate(physical.backend)
         with self.context.span(
             physical.label(),
             backend=backend.name if not isinstance(node, ScanPlan) else "source",
@@ -211,7 +182,7 @@ class Interpreter:
             inputs: list = []
 
             def operand(index: int) -> Dataset:
-                dataset = self.evaluate_physical(physical.children[index])
+                dataset = self._run_node(physical.children[index])
                 inputs.append(dataset)
                 span.annotate(
                     input_regions=sum(d.region_count() for d in inputs),
@@ -224,12 +195,7 @@ class Interpreter:
                 output_regions=result.region_count(),
                 output_samples=len(result),
             )
-        physical.actual_seconds = span.seconds
-        physical.actual_regions = result.region_count()
-        physical.actual_samples = len(result)
-        physical.executed_backend = (
-            "source" if isinstance(node, ScanPlan) else backend.name
-        )
+        physical.span = span
         if cache is not None:
             # Stored before the rename: a hit re-applies its own name.
             cache.put(physical.fingerprint, result)
@@ -243,7 +209,7 @@ class Interpreter:
         """Execute a physical program; returns ``{name: Dataset}``."""
         results = {}
         for output_name, node in program.outputs.items():
-            results[output_name] = self.evaluate_physical(node).with_name(
+            results[output_name] = self._run_node(node).with_name(
                 output_name
             )
         return results

@@ -10,9 +10,9 @@ but whose MAP is huge routes each operator to its best kernel; under a
 named engine every node is pinned to that backend, preserving the old
 one-backend-per-query behaviour.
 
-After execution the interpreter writes actuals back into the nodes
-(wall time, output region/sample counts, the backend that really ran),
-which is what ``repro explain --analyze`` renders: the plan tree with
+During execution the interpreter links every node to its span (wall
+time, output region/sample counts, the backend that really ran), which
+is what ``repro explain --analyze`` renders: the plan tree with
 estimated vs actual rows and per-node time/backend.
 
 When source datasets are available at planning time, two store-backed
@@ -64,11 +64,9 @@ class PhysicalNode:
     #: Derived effect record (:class:`repro.gmql.lang.effects.Effects`):
     #: chromosome locality, exactness class, cache/morsel safety, bounds.
     effects: object | None = None
-    # -- actuals, filled in by the interpreter during execution --
-    actual_seconds: float | None = None
-    actual_regions: int | None = None
-    actual_samples: int | None = None
-    executed_backend: str | None = None
+    #: The node's :class:`~repro.engine.context.Span` from the last run
+    #: (``None`` before execution): the one record of what ran.
+    span: object | None = None
     cached: bool = False
     #: The pre-rename dataset this node served from (``cached``) or put
     #: into the result cache during execution; ``None`` when uncached.
@@ -87,14 +85,15 @@ class PhysicalNode:
         est_regions = (
             int(self.estimate.regions) if self.estimate is not None else 0
         )
-        parts = [f"backend={self.executed_backend or self.backend}"]
+        actual = self.span.attributes if self.span is not None else {}
+        parts = [f"backend={actual.get('backend') or self.backend}"]
         if self.kernel is not None:
             parts.append(f"kernel={self.kernel}")
-        if analyze and self.actual_regions is not None:
-            parts.append(f"rows={est_regions}->{self.actual_regions}")
-            parts.append(f"samples={self.actual_samples}")
-            parts.append(f"time={(self.actual_seconds or 0.0) * 1000:.2f}ms")
-            if self.cached:
+        if analyze and self.span is not None:
+            parts.append(f"rows={est_regions}->{actual['output_regions']}")
+            parts.append(f"samples={actual['output_samples']}")
+            parts.append(f"time={self.span.seconds * 1000:.2f}ms")
+            if actual.get("cached"):
                 parts.append("cached")
         else:
             parts.append(f"est_rows={est_regions}")

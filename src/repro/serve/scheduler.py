@@ -131,8 +131,14 @@ class QueryScheduler:
         interpreter = Interpreter(
             backend, self._state.sources, context=context
         )
-        physical = interpreter.plan(compiled)
-        results = interpreter.run_physical(physical)
+        try:
+            physical = interpreter.plan(compiled)
+            results = interpreter.run_physical(physical)
+        finally:
+            # Between queries a slot keeps nothing of the last one: the
+            # context (its span tree and metrics) and, on fan-out
+            # engines, the arrays it shipped are let go here.
+            backend.bind_context(None)
         digest, reused = served_digest(physical, results)
         return results, digest, reused, perf_counter() - started
 

@@ -26,9 +26,14 @@ The protocol is deliberately tiny:
   Attached segments are closed but never unlinked by workers (on Python
   3.11 an attach does not register with the resource tracker, and
   unlinking is the creator's job).
-* the parent's ``close()`` -- wired into the backend lifecycle -- closes
-  and **unlinks** every segment it created.  ``close()`` is idempotent
-  and also runs on interpreter teardown as a last resort.
+* the parent's ``release_unused()`` -- called by the backend whenever a
+  query's context is replaced or unbound -- unlinks the segments of,
+  and forgets, every array the query just ended did not ship.  A
+  long-lived backend thus holds only the last query's arrays, and an
+  array every query ships (a resident source's blocks) keeps its one
+  segment across queries.  ``close()`` -- when the backend closes --
+  closes and **unlinks** every segment it created; it is idempotent and
+  also runs on interpreter teardown as a last resort.
 
 Segment names are system-assigned (``SharedMemory(create=True)`` with no
 explicit name), which makes collisions impossible across concurrent
@@ -62,18 +67,19 @@ class ArrayShipper:
     """Parent-side owner of shared-memory segments for numpy arrays.
 
     Create one per parallel backend, ``ship()`` arrays into task
-    payloads, and ``close()`` when the backend closes -- segments live
-    exactly as long as the pool that reads them.  *enabled* defaults to
-    whether shared memory is usable here; ``enabled=False`` is the test
-    seam for the pickle fallback.
+    payloads, ``release_unused()`` between queries and ``close()`` when
+    the backend closes -- segments live as long as the queries that
+    read them.  *enabled* defaults to whether shared memory is usable
+    here; ``enabled=False`` is the test seam for the pickle fallback.
     """
 
     def __init__(self, enabled: bool | None = None) -> None:
         self.enabled = (
             shared_memory_available() if enabled is None else bool(enabled)
         )
-        self._segments: list = []
+        self._segments: dict = {}  # id(array) -> its segment
         self._memo: dict = {}
+        self._shipped: set = set()  # ids shipped since release_unused()
         self.bytes_shared = 0
         self.bytes_pickled = 0
         self.bytes_mapped = 0
@@ -81,6 +87,7 @@ class ArrayShipper:
     def ship(self, array: np.ndarray) -> tuple:
         """Return a picklable handle for *array* (segment or raw)."""
         key = id(array)
+        self._shipped.add(key)
         cached = self._memo.get(key)
         if cached is not None:
             return cached[1]
@@ -123,24 +130,29 @@ class ArrayShipper:
         view = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf)
         view[:] = array
         del view
-        self._segments.append(segment)
+        self._segments[id(array)] = segment
         self.bytes_shared += array.nbytes
         return ("shm", segment.name, array.shape, array.dtype.str)
 
     def segment_names(self) -> list:
         """Names of the segments currently owned (for tests/metrics)."""
-        return [segment.name for segment in self._segments]
+        return [segment.name for segment in self._segments.values()]
+
+    def release_unused(self) -> None:
+        """Unlink the segments of, and forget, every array no ``ship()``
+        asked for since the last call."""
+        for key in [key for key in self._memo if key not in self._shipped]:
+            del self._memo[key]
+            _unlink(self._segments.pop(key, None))
+        self._shipped = set()
 
     def close(self) -> None:
         """Close and unlink every owned segment.  Idempotent."""
-        segments, self._segments = self._segments, []
+        segments, self._segments = self._segments, {}
         self._memo.clear()
-        for segment in segments:
-            try:
-                segment.close()
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        self._shipped = set()
+        for segment in segments.values():
+            _unlink(segment)
 
     def __enter__(self) -> "ArrayShipper":
         return self
@@ -153,6 +165,17 @@ class ArrayShipper:
             self.close()
         except Exception:
             pass
+
+
+def _unlink(segment) -> None:
+    """Close and unlink one owned segment (``None``: nothing to do)."""
+    if segment is None:
+        return
+    try:
+        segment.close()
+        segment.unlink()
+    except FileNotFoundError:  # pragma: no cover - already gone
+        pass
 
 
 def materialise(handles: list) -> tuple:

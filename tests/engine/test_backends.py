@@ -267,44 +267,65 @@ class TestParallelWorkersConfig:
             backend.close()
 
 
+def node_spans(physical) -> list:
+    """``(KIND, span)`` for every plan node of a run that ran a kernel."""
+    return [
+        (node.kind.upper(), node.span)
+        for node in physical.walk()
+        if node.span.attributes["backend"] not in ("source", "empty", "cache")
+    ]
+
+
 class TestEngineStats:
+    """What a run records about itself: one span per plan node."""
+
     def test_stats_recorded(self):
-        from repro.engine.naive import NaiveBackend
         from repro.gmql.lang import compile_program, Interpreter
 
         data = random_dataset(3)
-        backend = NaiveBackend()
-        compiled = compile_program("R = MAP() DATA DATA; MATERIALIZE R;")
-        Interpreter(backend, {"DATA": data}).run_program(compiled)
-        assert backend.stats.operator_calls.get("MAP") == 1
-        assert backend.stats.total_seconds() > 0
-        assert backend.stats.samples_produced > 0
+        interpreter = Interpreter(get_backend("naive"), {"DATA": data})
+        physical = interpreter.plan(
+            compile_program("R = MAP() DATA DATA; MATERIALIZE R;")
+        )
+        interpreter.run_physical(physical)
+        spans = node_spans(physical)
+        assert [kind for kind, __ in spans] == ["MAP"]
+        assert sum(span.self_seconds() for __, span in spans) > 0
+        assert spans[0][1].attributes["output_samples"] > 0
 
     def test_reset(self):
-        from repro.engine.naive import NaiveBackend
+        """A backend keeps no record: each run's starts empty on its
+        own context."""
+        from repro.engine.context import ExecutionContext
+        from repro.gmql.lang import compile_program, Interpreter
 
-        backend = NaiveBackend()
-        backend.reset_stats()
-        assert backend.stats.total_seconds() == 0
+        backend = get_backend("naive")
+        compiled = compile_program("R = MAP() DATA DATA; MATERIALIZE R;")
+        contexts = [ExecutionContext(), ExecutionContext()]
+        for context in contexts:
+            assert context.tracer.total_seconds() == 0
+            Interpreter(
+                backend, {"DATA": random_dataset(3)}, context=context
+            ).run_program(compiled)
+        assert [len(list(c.tracer.iter_spans())) for c in contexts] == [2, 2]
+        assert not hasattr(backend, "stats")
 
     def test_per_node_records(self):
-        from repro.engine.naive import NaiveBackend
         from repro.gmql.lang import compile_program, Interpreter
 
         data = random_dataset(3)
-        backend = NaiveBackend()
-        compiled = compile_program(
+        interpreter = Interpreter(get_backend("naive"), {"DATA": data})
+        physical = interpreter.plan(compile_program(
             "A = SELECT(cell == 'HeLa') DATA; R = MAP() A DATA;"
             " MATERIALIZE R;"
-        )
-        Interpreter(backend, {"DATA": data}).run_program(compiled)
-        operators = [stat.operator for stat in backend.stats.records]
-        assert operators == ["SELECT", "MAP"]
-        for stat in backend.stats.records:
-            assert stat.backend == "naive"
-            assert stat.label  # plan-node label captured from the span
-            assert stat.seconds >= 0
-        assert backend.stats.by_backend().keys() == {"naive"}
+        ))
+        interpreter.run_physical(physical)
+        spans = node_spans(physical)
+        assert [kind for kind, __ in spans] == ["SELECT", "MAP"]
+        for kind, span in spans:
+            assert span.attributes["backend"] == "naive"
+            assert span.label.startswith(kind)  # the plan-node label
+            assert 0 <= span.self_seconds() <= span.seconds
 
 
 class TestCustomBackend:

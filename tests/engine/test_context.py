@@ -43,20 +43,11 @@ class TestSpanTracer:
 class TestMetricsRegistry:
     def test_counters(self):
         metrics = MetricsRegistry()
-        metrics.increment("operator.MAP.calls")
-        metrics.increment("operator.MAP.calls", 2)
-        assert metrics.counter("operator.MAP.calls") == 3
+        metrics.increment("result_cache.hits")
+        metrics.increment("result_cache.hits", 2)
+        assert metrics.counter("result_cache.hits") == 3
         assert metrics.counter("missing") == 0
-
-    def test_observations(self):
-        metrics = MetricsRegistry()
-        metrics.observe("seconds", 1.0)
-        metrics.observe("seconds", 3.0)
-        snap = metrics.snapshot()["seconds"]
-        assert snap["count"] == 2
-        assert snap["min"] == 1.0
-        assert snap["max"] == 3.0
-        assert snap["mean"] == 2.0
+        assert metrics.snapshot() == {"result_cache.hits": 3}
 
 
 class TestCancellation:
@@ -215,9 +206,8 @@ class TestBackendIntegration:
             {"DATA": random_dataset(2)},
             context=context,
         )
-        assert context.metrics.counter("operator.MAP.calls") == 1
         labels = [s.label for s in context.tracer.iter_spans()]
-        assert any(label.startswith("MAP") for label in labels)
+        assert sum(label.startswith("MAP") for label in labels) == 1
         map_span = next(
             s for s in context.tracer.iter_spans() if s.label.startswith("MAP")
         )

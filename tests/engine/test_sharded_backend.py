@@ -12,7 +12,7 @@ import pytest
 
 from repro.engine.auto import choose_backend
 from repro.engine.context import ExecutionContext
-from repro.engine.sharded import ShardedBackend, shard_groups_from_env
+from repro.engine.sharded import ShardedBackend
 from repro.gdm import (
     Dataset,
     FLOAT,
@@ -189,33 +189,11 @@ class TestDelegation:
         assert context.metrics.counter("federation.shards_placed") == 0
 
 
-class TestGroupsFromEnv:
-    def test_unset_returns_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_GROUPS", raising=False)
-        assert shard_groups_from_env() is None
-        assert shard_groups_from_env(default=3) == 3
-
-    def test_valid_value_parses(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_GROUPS", " 4 ")
-        assert shard_groups_from_env() == 4
-
-    @pytest.mark.parametrize("raw", ["zero", "0", "-2", "2.5"])
-    def test_broken_values_never_change_strategy(self, raw, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_GROUPS", raw)
-        assert shard_groups_from_env() is None
-        assert shard_groups_from_env(default=2) == 2
-
-
-class TestAutoRouting:
-    AVAILABLE = ("naive", "columnar", "parallel", "sharded", "source")
-
-    def test_auto_routes_heavy_operators_when_groups_set(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARD_GROUPS", "4")
-        name, reason = choose_backend("map", 10_000_000, self.AVAILABLE)
-        assert name == "sharded"
-        assert "REPRO_SHARD_GROUPS=4" in reason
-
-    def test_auto_ignores_sharded_when_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_GROUPS", raising=False)
-        name, __ = choose_backend("map", 10_000_000, self.AVAILABLE)
-        assert name != "sharded"
+def test_auto_never_routes_to_sharded():
+    """``sharded`` runs only when asked for by name: no input size makes
+    ``auto`` pick it."""
+    available = ("naive", "columnar", "parallel", "sharded", "source")
+    for kind in ("map", "join", "cover", "difference"):
+        for regions in (10, 10_000, 10_000_000):
+            name, __ = choose_backend(kind, regions, available)
+            assert name != "sharded"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
-from repro.gmql import run, run_with_stats
+from repro.gmql import run, run_analyzed
 from repro.simulate import EncodeRepository, GenomeLayout
 
 
@@ -155,7 +155,7 @@ class TestCompositePrograms:
 
 class TestRunWithStats:
     def test_stats_returned(self, sources):
-        results, stats = run_with_stats(
+        results, physical, __ = run_analyzed(
             """
             PROMS = SELECT(annType == 'promoter') ANNOTATIONS;
             CHIP = SELECT(dataType == 'ChipSeq') ENCODE;
@@ -166,9 +166,15 @@ class TestRunWithStats:
             engine="columnar",
         )
         assert "OUT" in results
-        assert stats.operator_calls["MAP"] == 1
-        assert stats.operator_calls["SELECT"] == 2
-        assert stats.samples_produced > 0
+        kinds = [
+            node.kind for node in physical.walk() if node.span is not None
+        ]
+        assert kinds.count("map") == 1
+        assert kinds.count("select") == 2
+        assert sum(
+            node.span.attributes["output_samples"]
+            for node in physical.walk() if node.kind != "scan"
+        ) > 0
 
     def test_engines_agree_on_composite_program(self, sources):
         program = """

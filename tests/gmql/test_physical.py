@@ -137,10 +137,11 @@ class TestExplainAnalyze:
 
         reference = execute(QUERY, {"DATA": data}, engine="naive")
         assert canonical(results["R"]) == canonical(reference["R"])
+        spans = list(context.tracer.iter_spans())
         for node in physical.walk():
-            assert node.actual_regions is not None
-            assert node.actual_seconds is not None
-            assert node.executed_backend is not None
+            assert any(node.span is span for span in spans)
+            assert node.span.attributes["output_regions"] is not None
+            assert node.span.attributes["backend"]
         assert context.tracer.total_seconds() > 0
 
     def test_analyze_text(self):
@@ -161,11 +162,100 @@ class TestExplainAnalyze:
         reference = execute(QUERY, {"DATA": data}, engine="naive")
         assert canonical(results["R"]) == canonical(reference["R"])
         executed = {
-            node.executed_backend
+            node.span.attributes["backend"]
             for node in physical.walk()
             if node.kind != "scan"
         }
         assert executed == {"columnar"}
+
+
+def explained_nodes(physical):
+    """``(node, annotation)`` in ``explain()`` line order, ``None`` for
+    nodes printed as ``(shared)`` (each output restarts the walk)."""
+    for root in physical.outputs.values():
+        seen: set = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                yield node, None
+                continue
+            seen.add(id(node))
+            yield node, True
+            stack.extend(reversed(node.children))
+
+
+class TestExplainReadsSpans:
+    """``explain(analyze=True)`` prints each node's span, nothing else."""
+
+    PROGRAM = (
+        "A = SELECT(cell == 'HeLa') DATA;"
+        " R = MAP(n AS COUNT) A DATA;"
+        " E = SELECT(wat == 'x') DATA;"
+        " MATERIALIZE R; MATERIALIZE E;"
+    )
+
+    @pytest.fixture(autouse=True)
+    def isolated_cache(self):
+        from repro.store.cache import reset_result_cache
+
+        reset_result_cache()
+        yield
+        reset_result_cache()
+
+    def check(self, physical) -> list:
+        lines = [
+            line.strip() for line in physical.explain(analyze=True).splitlines()
+            if not line.startswith("-- ")
+        ]
+        nodes = list(explained_nodes(physical))
+        assert len(lines) == len(nodes)
+        checked = []
+        for line, (node, first) in zip(lines, nodes):
+            if first is None:
+                assert line == f"{node.label()} (shared)"
+                continue
+            label, annotation = line.split("  [", 1)
+            assert label == node.label()
+            parts = annotation.rstrip("]").split()
+            span = node.span
+            if span is None:  # skipped under a cache hit
+                assert not any(p.startswith("rows=") for p in parts)
+                continue
+            actual = span.attributes
+            assert f"backend={actual['backend']}" in parts
+            rows = next(p for p in parts if p.startswith("rows="))
+            assert rows.split("->")[1] == str(actual["output_regions"])
+            assert f"samples={actual['output_samples']}" in parts
+            assert ("cached" in parts) == bool(actual.get("cached"))
+            checked.append(actual["backend"])
+        return checked
+
+    def run(self, engine="auto"):
+        data = random_dataset(31)
+        __, physical, context = explain_analyze(
+            self.PROGRAM, {"DATA": data}, engine=engine,
+            context=ExecutionContext(result_cache=True),
+        )
+        spans = list(context.tracer.iter_spans())
+        for node in physical.walk():
+            assert node.span is None or any(node.span is s for s in spans)
+        return physical
+
+    def test_kernels_scans_empty_plan_and_shared_scan(self):
+        physical = self.run()
+        assert "(shared)" in physical.explain(analyze=True)
+        backends = self.check(physical)
+        assert "empty" in backends and "source" in backends
+        (empty,) = [n for n in physical.walk() if n.kind == "empty"]
+        assert empty.logical.pruned_by == "GQL107"
+
+    def test_cache_hit(self):
+        self.run(engine="columnar")
+        physical = self.run(engine="columnar")
+        backends = self.check(physical)
+        assert "cache" in backends
+        assert physical.outputs["R"].cached
 
 
 class TestInterpreterPhysical:
@@ -177,12 +267,12 @@ class TestInterpreterPhysical:
         physical = interpreter.plan(compiled)
         results = interpreter.run_physical(physical)
         assert "R" in results
-        assert all(
-            node.actual_regions is not None for node in physical.walk()
-        )
-        # per-node stats recorded with the executing backend's name
-        assert backend.stats.records
-        assert {stat.backend for stat in backend.stats.records} == {"naive"}
+        assert all(node.span is not None for node in physical.walk())
+        # each node's span names the backend that executed it
+        assert {
+            node.span.attributes["backend"]
+            for node in physical.walk() if node.kind != "scan"
+        } == {"naive"}
 
     def test_auto_backend_shares_stats_across_delegates(self):
         data = random_dataset(22, n_samples=3, n_regions=30)
@@ -190,10 +280,15 @@ class TestInterpreterPhysical:
         interpreter = Interpreter(
             backend, {"DATA": data}, context=ExecutionContext()
         )
-        compiled = optimize(compile_program(QUERY))
-        interpreter.run_program(compiled)
-        assert backend.stats.operator_calls.get("MAP") == 1
-        assert backend.stats.records  # delegate kernels recorded here
+        physical = interpreter.plan(optimize(compile_program(QUERY)))
+        interpreter.run_physical(physical)
+        # one tree across delegates: every kernel node's span names the
+        # delegate its plan node was routed to
+        kernels = [node for node in physical.walk() if node.kind != "scan"]
+        assert [node.kind for node in kernels].count("map") == 1
+        for node in kernels:
+            assert node.span.attributes["backend"] == node.backend
+            assert backend.delegate(node.backend).name == node.backend
 
     def test_memoisation_preserved(self):
         # The shared SCAN feeds SELECT and MAP; counting scans via the
@@ -206,7 +301,9 @@ class TestInterpreterPhysical:
         interpreter.run_physical(physical)
         scans = [n for n in physical.walk() if n.kind == "scan"]
         assert len(scans) == 1
-        assert scans[0].actual_regions == data.region_count()
+        assert scans[0].span.attributes["output_regions"] == (
+            data.region_count()
+        )
 
 
 def test_planning_leaves_no_cycle_holding_the_sources():

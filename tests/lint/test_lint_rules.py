@@ -198,6 +198,56 @@ class TestColumnarRegionBuildRule:
         assert not rule.applies_to(lint.SRC_DIR / "repro" / "gdm" / "sample.py")
 
 
+class TestSpanTimerRule:
+    SNIPPET = SNIPPET_DIR / "rl012_span_timer.py"
+
+    def scoped(self, tmp_path, monkeypatch) -> Path:
+        engine = tmp_path / "src" / "repro" / "engine"
+        gmql = tmp_path / "src" / "repro" / "gmql"
+        rules = [
+            lint.Rule(rule.code, rule.summary, rule.check,
+                      exempt=(engine / "context.py",),
+                      only_under=(engine, gmql))
+            if rule.code == "RL012" else rule
+            for rule in lint.RULES
+        ]
+        monkeypatch.setattr(lint, "RULES", tuple(rules))
+        return tmp_path / "src" / "repro"
+
+    @pytest.mark.parametrize("module", ["engine/base.py", "gmql/lang/x.py"])
+    def test_rl012_fires_in_engine_and_language_code(
+        self, tmp_path, monkeypatch, module
+    ):
+        path = self.scoped(tmp_path, monkeypatch) / module
+        path.parent.mkdir(parents=True)
+        path.write_text(self.SNIPPET.read_text())
+        problems = lint.check_file(path, {"RL012"}, root=tmp_path)
+        assert [p.line for p in problems] == [
+            line for __, line in expectations(self.SNIPPET)
+        ]
+
+    def test_rl012_leaves_the_span_tracer_and_other_trees_alone(
+        self, tmp_path, monkeypatch
+    ):
+        """The spans themselves need a timer; the server and the store
+        time their own layers."""
+        package = self.scoped(tmp_path, monkeypatch)
+        for module in ("engine/context.py", "serve/state.py"):
+            path = package / module
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.SNIPPET.read_text())
+            assert lint.check_file(path, {"RL012"}, root=tmp_path) == []
+
+    def test_the_real_rule_is_scoped_to_engine_and_language(self):
+        (rule,) = [rule for rule in lint.RULES if rule.code == "RL012"]
+        assert rule.applies_to(lint.ENGINE_DIR / "base.py")
+        assert rule.applies_to(lint.GMQL_DIR / "lang" / "interpreter.py")
+        assert not rule.applies_to(lint.CONTEXT_MODULE)
+        assert not rule.applies_to(
+            lint.SRC_DIR / "repro" / "serve" / "scheduler.py"
+        )
+
+
 class TestRuleSelection:
     def test_select_narrows_to_the_named_codes(self):
         assert lint.active_codes(select="RL001,RL007") == {"RL001", "RL007"}

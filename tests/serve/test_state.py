@@ -1,9 +1,15 @@
 """WarmState bounds and reports: the compiled-program LRU, the pool size
 and the store block counters."""
 
+import asyncio
+import gc
+import weakref
+
+from repro.engine.context import ExecutionContext
 from repro.gdm import results_digest
 from repro.gmql.lang import execute
 from repro.serve import state as state_mod
+from repro.serve.scheduler import QueryScheduler
 from repro.serve.state import WarmState
 
 from tests.serve.util import make_sources
@@ -73,3 +79,45 @@ def test_store_stats_count_rows_materialised():
     (sample, *__) = results["C"]
     assert sample.regions
     assert state.stats()["store"]["rows_materialised"] == before + len(sample)
+
+
+def test_a_slot_keeps_no_per_query_execution_record():
+    """A resident backend slot records nothing of the queries it ran:
+    each query's span tree and metrics live on its own context, which
+    the slot lets go once the query is over."""
+    state = WarmState(make_sources(), engine="auto")
+    slots = []
+    make_backend = state.make_backend
+
+    def recording_make_backend():
+        slots.append(make_backend())
+        return slots[-1]
+
+    state.make_backend = recording_make_backend
+    records = []
+
+    async def main():
+        scheduler = QueryScheduler(state, max_concurrency=1)
+        try:
+            for i in range(6):
+                context = ExecutionContext(result_cache=False)
+                records.append(weakref.ref(context))
+                await scheduler.run(
+                    f"S = SELECT(region: left > {10 * i}) EXP; "
+                    "OUT = MAP(n AS COUNT) REF S; MATERIALIZE OUT;",
+                    context=context,
+                )
+                assert context.tracer.roots  # the record is the context's
+                del context
+        finally:
+            await scheduler.aclose()
+
+    try:
+        asyncio.run(main())
+    finally:
+        state.close()
+    (slot,) = slots
+    gc.collect()
+    assert all(record() is None for record in records)
+    assert slot.context is None and not hasattr(slot, "stats")
+

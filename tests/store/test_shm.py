@@ -25,7 +25,8 @@ from repro.engine import columnar as columnar_mod
 from repro.engine import parallel as parallel_mod
 from repro.engine.context import ExecutionContext
 from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
-from repro.gmql.lang import execute
+from repro.gmql.lang import Interpreter, compile_program, execute, optimize
+from repro.serve.state import WarmState
 from repro.store import shm as shm_mod
 from repro.store.shm import ArrayShipper, materialise, segment_exists
 
@@ -80,6 +81,20 @@ class TestArrayShipper:
         assert shipper.segment_names() == []
         assert not any(segment_exists(name) for name in names)
         shipper.close()  # second close is a no-op
+
+    def test_release_unused_keeps_only_what_was_shipped_since(self):
+        kept, dropped = BIG, BIG + 1
+        with ArrayShipper(enabled=True) as shipper:
+            first = shipper.ship(kept)
+            shipper.ship(dropped)
+            shipper.release_unused()  # both shipped since: both stay
+            assert len(shipper.segment_names()) == 2
+            assert shipper.ship(kept) is first
+            (dropped_name,) = set(shipper.segment_names()) - {first[1]}
+            shipper.release_unused()
+            assert shipper.segment_names() == [first[1]]
+            assert not segment_exists(dropped_name)
+            assert shipper.ship(dropped)[1] != dropped_name  # re-shipped
 
     def test_materialise_raw_passthrough(self):
         values = np.arange(8, dtype=np.int64)
@@ -253,3 +268,49 @@ class TestMmapHandles:
         array = self._mapped_array(tmp_path)
         with ArrayShipper(enabled=False) as shipper:
             assert shipper.ship(array)[0] == "mmap"
+
+
+class TestResidentSlot:
+    def test_slot_holds_at_most_one_querys_segments(self, monkeypatch):
+        """A server slot runs many queries and closes only at shutdown.
+        When a query's context goes (the scheduler unbinds the slot
+        after every query) the slot keeps only what that query shipped:
+        the resident source's segments are reused, each derived
+        operand's are released, and close unlinks the rest."""
+        shippers = []
+
+        class RecordingShipper(ArrayShipper):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                shippers.append(self)
+
+        monkeypatch.setattr(parallel_mod, "ArrayShipper", RecordingShipper)
+        monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
+        sources = {"DATA": _seed_dataset()}
+        state = WarmState(sources, engine="parallel", workers=1)
+        slot = state.make_backend()
+        held = []
+        try:
+            # Each program's MAP ships a fresh derived operand (the
+            # region SELECT's output) next to the resident source.
+            for threshold in range(4):
+                program = (
+                    f"S = SELECT(region: left >= {threshold}) DATA; "
+                    "R = MAP() S DATA; MATERIALIZE R;"
+                )
+                compiled = optimize(compile_program(program, datasets=sources))
+                Interpreter(
+                    slot, sources, context=ExecutionContext(result_cache=False)
+                ).run_program(compiled)
+                slot.bind_context(None)
+                held.append({
+                    name for shipper in shippers
+                    for name in shipper.segment_names()
+                })
+        finally:
+            slot.close()
+            state.close()
+        assert held[0]
+        assert max(len(names) for names in held) <= len(held[0])
+        assert set.intersection(*held)  # the source's segments, reused
+        assert not any(segment_exists(name) for name in set.union(*held))
