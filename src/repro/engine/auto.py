@@ -1,12 +1,15 @@
 """The ``auto`` backend: per-operator kernel routing.
 
 The paper's architecture keeps "one logical plan, several backends"; this
-module adds the missing policy layer that picks a backend *per operator*
-instead of per query.  Region-heavy operators (MAP, JOIN, COVER,
-DIFFERENCE) go to the process-pool backend once inputs are large enough
-to amortise pickling, mid-size work goes to the numpy columnar kernels,
-and tiny inputs stay on the naive record-at-a-time reference where
-per-call overhead dominates.
+module is the one placement policy that picks a backend *per operator*
+instead of per query.  It is one rule over the operator's estimated
+input size: JOIN and COVER fan out to the process-pool backend from
+:data:`PARALLEL_REGION_THRESHOLD`, every other operator (and a smaller
+JOIN or COVER) runs on the numpy columnar kernels from
+:data:`COLUMNAR_REGION_THRESHOLD`, and tiny inputs stay on the naive
+record-at-a-time reference where per-call overhead dominates.  Both
+constants are measured, the same on every host; ``docs/PERFORMANCE.md``
+("Choosing auto's thresholds") has the tables.
 
 The policy, :func:`choose_backend`, runs once per node at plan time:
 the physical planner (:mod:`repro.gmql.lang.physical`) calls it with
@@ -17,62 +20,23 @@ the physical planner (:mod:`repro.gmql.lang.physical`) calls it with
 from __future__ import annotations
 
 from repro.engine.base import Backend
-from repro.store import shared_memory_available
 
-#: Input-region count above which region-heavy operators are worth
-#: shipping to worker processes (pickling cost must be amortised).
-PARALLEL_REGION_THRESHOLD = 50_000
+#: Input-region count from which JOIN and COVER win on worker
+#: processes: below it the fan-out's shipping and merging cost more
+#: than the kernel time they split.  MAP lost at every size measured,
+#: and DIFFERENCE's kernel is the same single overlap pass, so no other
+#: operator fans out.
+PARALLEL_REGION_THRESHOLD = 750_000
 
-#: Lower break-even point when block arrays travel through POSIX shared
-#: memory instead of pickles: workers attach to segments instead of
-#: deserialising region objects, so the fan-out pays off much earlier.
-PARALLEL_REGION_THRESHOLD_SHM = 20_000
-
-#: Lowest break-even point when a persistent store root is configured:
-#: disk-resident blocks ship as ``(path, offset, shape, dtype)`` handles
-#: (see :func:`repro.store.persist.mmap_descriptor`), so a morsel's
-#: marginal shipping cost is a tuple pickle and fan-out pays off almost
-#: immediately.
-PARALLEL_REGION_THRESHOLD_MMAP = 10_000
-
-#: Input-region count above which vectorised columnar kernels win over
-#: the record-at-a-time reference implementation.
-COLUMNAR_REGION_THRESHOLD = 2_000
-
-#: Per-kind overrides of :data:`COLUMNAR_REGION_THRESHOLD`.  The
-#: event-sweep kernels (:mod:`repro.store.cover_kernels`) do a constant
-#: number of array passes per chromosome -- no per-pair or per-hit work
-#: at all -- so their break-even against the naive per-region
-#: accumulators sits far below the pair-kernel operators'.
-COLUMNAR_KIND_THRESHOLDS = {"cover": 500, "difference": 1_000}
-
-#: Operators with genome-partitionable kernels in the parallel backend.
-PARALLEL_OPERATORS = frozenset({"map", "join", "cover", "difference"})
+#: Input-region count from which the vectorised columnar kernels are
+#: never slower than the record-at-a-time reference, for any operator.
+COLUMNAR_REGION_THRESHOLD = 650
 
 #: The plan-node kind executed by the interpreter itself (no kernel).
 SOURCE_KIND = "scan"
 
 
-def parallel_threshold() -> int:
-    """Effective fan-out break-even for this host.
-
-    Shared memory removes most serialisation cost, moving the break-even
-    point down, and a persisted store root removes nearly all of it
-    (workers re-map immutable segment files); hosts without shared
-    memory keep the conservative pickle threshold.
-    """
-    from repro.store.persist import store_root
-
-    if store_root() is not None:
-        return PARALLEL_REGION_THRESHOLD_MMAP
-    if shared_memory_available():
-        return PARALLEL_REGION_THRESHOLD_SHM
-    return PARALLEL_REGION_THRESHOLD
-
-
-def choose_backend(
-    kind: str, input_regions: float, available: tuple, effects=None
-) -> tuple:
+def choose_backend(kind: str, input_regions: float, effects=None) -> tuple:
     """Pick a backend for one operator; returns ``(name, reason)``.
 
     Parameters
@@ -81,16 +45,11 @@ def choose_backend(
         Plan-node kind (``map``, ``select``...), lower-case.
     input_regions:
         Estimated total regions across the operator's inputs.
-    available:
-        Registered backend names; choices degrade gracefully when the
-        parallel or columnar backend is unavailable.
     effects:
         The node's inferred :class:`~repro.gmql.lang.effects.Effects`
-        record, when the caller has one.  Replaces the hard-coded
-        operator allowlists: fan-out requires morsel safety, and a
-        finite ``input_bound`` caps the bare row-count estimate (a
-        provably small input never routes to a heavyweight backend on
-        an inflated estimate).
+        record, when the caller has one.  A finite ``input_bound`` caps
+        the bare row-count estimate, so a provably small input never
+        routes to a heavyweight backend on an inflated estimate.
     """
     kind = kind.lower()
     if kind == SOURCE_KIND:
@@ -103,33 +62,18 @@ def choose_backend(
                 f"<={effects.input_bound})"
             )
             input_regions = effects.input_bound
-    morsel_safe = (
-        effects.morsel_safe if effects is not None
-        else kind in PARALLEL_OPERATORS
-    )
-    if (
-        kind in PARALLEL_OPERATORS
-        and morsel_safe
-        and input_regions >= parallel_threshold()
-        and "parallel" in available
-    ):
+    size = f"{kind} over ~{int(input_regions)} regions"
+    fans_out = kind in ("join", "cover")
+    if fans_out and input_regions >= PARALLEL_REGION_THRESHOLD:
         return (
             "parallel",
-            f"{kind} over ~{int(input_regions)} regions: "
-            f"partition across worker processes{bound_note}",
+            f"{size}: partition across worker processes{bound_note}",
         )
-    columnar_threshold = COLUMNAR_KIND_THRESHOLDS.get(
-        kind, COLUMNAR_REGION_THRESHOLD
-    )
-    if input_regions >= columnar_threshold and "columnar" in available:
-        return (
-            "columnar",
-            f"{kind} over ~{int(input_regions)} regions: vectorised kernels",
-        )
+    if input_regions >= COLUMNAR_REGION_THRESHOLD:
+        return "columnar", f"{size}: vectorised kernels{bound_note}"
     return (
         "naive",
-        f"{kind} over ~{int(input_regions)} regions: "
-        f"small input, per-call overhead dominates",
+        f"{size}: small input, per-call overhead dominates{bound_note}",
     )
 
 

@@ -30,30 +30,17 @@ def available_backends() -> tuple:
 
 
 def _register_builtins() -> None:
-    from repro.engine.naive import NaiveBackend
-
-    register_backend(NaiveBackend.name, NaiveBackend)
-    try:
-        from repro.engine.columnar import ColumnarBackend
-
-        register_backend(ColumnarBackend.name, ColumnarBackend)
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
-    try:
-        from repro.engine.parallel import ParallelBackend
-
-        register_backend(ParallelBackend.name, ParallelBackend)
-    except ImportError:  # pragma: no cover
-        pass
-    try:
-        from repro.engine.sharded import ShardedBackend
-
-        register_backend(ShardedBackend.name, ShardedBackend)
-    except ImportError:  # pragma: no cover
-        pass
     from repro.engine.auto import AutoBackend
+    from repro.engine.columnar import ColumnarBackend
+    from repro.engine.naive import NaiveBackend
+    from repro.engine.parallel import ParallelBackend
+    from repro.engine.sharded import ShardedBackend
 
-    register_backend(AutoBackend.name, AutoBackend)
+    for backend in (
+        NaiveBackend, ColumnarBackend, ParallelBackend, ShardedBackend,
+        AutoBackend,
+    ):
+        register_backend(backend.name, backend)
 
 
 _register_builtins()

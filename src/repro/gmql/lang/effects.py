@@ -25,11 +25,6 @@ The effect lattice per node:
   carry compiled lambdas whose fallback fingerprint token embeds a
   memory address, so such nodes (and everything above them) must not
   be stored in the result cache.
-* **morsel safety** (``morsel_safe``): may the *node's own* kernel be
-  split into genome morsels by the parallel backend?  Node-local (the
-  inputs are materialised data by kernel time): true for the
-  pair/sweep kernels, false for exact/joinby DIFFERENCE which falls
-  back to the per-region naive kernel.
 * **cardinality/byte bounds** (``bound_regions``/``bound_bytes``):
   sound upper bounds on the node's output, from source summaries and
   per-operator bounding rules (MD(k) JOIN emits at most ``k`` rows per
@@ -79,15 +74,13 @@ def weakest_exactness(*classes: str) -> str:
 
 @dataclass(frozen=True)
 class Effects:
-    """Derived effect record of one plan node (over its whole subtree,
-    except ``morsel_safe`` which is node-local by construction)."""
+    """Derived effect record of one plan node, over its whole subtree."""
 
     chrom_local: bool = True
     locality_breaker: str | None = None
     exactness: str = REORDERABLE
     cache_safe: bool = True
     cache_breaker: str | None = None
-    morsel_safe: bool = False
     bound_regions: int | None = None
     bound_bytes: int | None = None
     #: Summed region bound of the node's children (``None`` =
@@ -105,8 +98,6 @@ class Effects:
             "cacheable" if self.cache_safe
             else f"nocache({self.cache_breaker})"
         )
-        if self.morsel_safe:
-            parts.append("morsel")
         if self.bound_regions is not None:
             parts.append(f"bound<={self.bound_regions}")
         return " ".join(parts)
@@ -253,12 +244,6 @@ def node_effects(node, child_effects: list | tuple = (),
         # the node's output is not a pure function of a stable key.
         cache_breaker = node.label() + " computed attributes"
 
-    morsel_safe = kind in ("map", "join", "cover") or (
-        kind == "difference"
-        and not getattr(node, "exact", False)
-        and not getattr(node, "joinby", None)
-    )
-
     bound_regions, bound_bytes = _node_bounds(node, child_fx, summaries)
     input_regions = [fx.bound_regions for fx in child_fx]
     input_bound = (
@@ -273,7 +258,6 @@ def node_effects(node, child_effects: list | tuple = (),
         exactness=exactness,
         cache_safe=cache_breaker is None,
         cache_breaker=cache_breaker,
-        morsel_safe=morsel_safe,
         bound_regions=bound_regions,
         bound_bytes=bound_bytes,
         input_bound=input_bound,

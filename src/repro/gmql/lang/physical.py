@@ -32,7 +32,6 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.engine.auto import choose_backend
-from repro.engine.dispatch import available_backends
 from repro.gmql.lang.effects import node_effects
 from repro.gmql.lang.plan import (
     CompiledProgram,
@@ -62,7 +61,7 @@ class PhysicalNode:
     #: planning time, which disables result caching for this node).
     fingerprint: str | None = None
     #: Derived effect record (:class:`repro.gmql.lang.effects.Effects`):
-    #: chromosome locality, exactness class, cache/morsel safety, bounds.
+    #: chromosome locality, exactness class, cache safety, bounds.
     effects: object | None = None
     #: The node's :class:`~repro.engine.context.Span` from the last run
     #: (``None`` before execution): the one record of what ran.
@@ -294,7 +293,6 @@ def plan_program(
 
     if summaries is None:
         summaries = summarize_datasets(datasets or {})
-    available = available_backends()
     estimates: dict = {}
     memo: dict = {}
 
@@ -372,7 +370,7 @@ def plan_program(
             )
         elif engine == "auto":
             backend, reason = choose_backend(
-                node.kind, input_regions, available, effects=effects
+                node.kind, input_regions, effects=effects
             )
         elif isinstance(node, ScanPlan):
             backend, reason = "source", "scans read datasets directly"

@@ -107,7 +107,6 @@ from repro.store.shm import (
     ArrayShipper,
     materialise,
     segment_exists,
-    shared_memory_available,
 )
 
 __all__ = [
@@ -171,7 +170,6 @@ __all__ = [
     "segment_fsum",
     "segment_median_positions",
     "segment_reduce",
-    "shared_memory_available",
     "sweep_profile",
     "wide_sorted_events",
 ]

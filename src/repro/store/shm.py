@@ -54,29 +54,18 @@ import numpy as np
 MIN_SHARED_BYTES = 2048
 
 
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - baked into CPython >= 3.8
-        return False
-    return True
-
-
 class ArrayShipper:
     """Parent-side owner of shared-memory segments for numpy arrays.
 
     Create one per parallel backend, ``ship()`` arrays into task
     payloads, ``release_unused()`` between queries and ``close()`` when
     the backend closes -- segments live as long as the queries that
-    read them.  *enabled* defaults to whether shared memory is usable
-    here; ``enabled=False`` is the test seam for the pickle fallback.
+    read them.  Shipping through segments stays on until creating one
+    fails; ``enabled=False`` is the test seam for the pickle fallback.
     """
 
-    def __init__(self, enabled: bool | None = None) -> None:
-        self.enabled = (
-            shared_memory_available() if enabled is None else bool(enabled)
-        )
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = bool(enabled)
         self._segments: dict = {}  # id(array) -> its segment
         self._memo: dict = {}
         self._shipped: set = set()  # ids shipped since release_unused()

@@ -192,8 +192,7 @@ class TestDelegation:
 def test_auto_never_routes_to_sharded():
     """``sharded`` runs only when asked for by name: no input size makes
     ``auto`` pick it."""
-    available = ("naive", "columnar", "parallel", "sharded", "source")
     for kind in ("map", "join", "cover", "difference"):
         for regions in (10, 10_000, 10_000_000):
-            name, __ = choose_backend(kind, regions, available)
+            name, __ = choose_backend(kind, regions)
             assert name != "sharded"

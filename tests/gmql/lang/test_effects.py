@@ -1,5 +1,5 @@
 """The plan-effect lattice: inferred shardability, exactness,
-cache-safety, morsel-safety and bounds.
+cache-safety and bounds.
 
 These are the facts the federation planner, sharded backend, auto
 router and result cache all gate on, so the lattice itself gets pinned
@@ -7,8 +7,6 @@ here: locality breaks exactly at the sample-reducing operators,
 exactness follows the aggregate registry's merge classes, and bounds
 compose soundly from source summaries.
 """
-
-import pytest
 
 from repro.gmql.aggregates import EXACT_INT, ORDERED, REORDERABLE
 from repro.gmql.lang import compile_program, optimize
@@ -110,23 +108,6 @@ class TestCacheSafety:
         )
         assert plan.effects.cache_safe is True
         assert plan.effects.cache_breaker is None
-
-
-class TestMorselSafety:
-    @pytest.mark.parametrize(
-        "program,output,safe",
-        [
-            ("M = MAP(n AS COUNT) RAW OTHER;\nMATERIALIZE M;", "M", True),
-            ("J = JOIN(MD(1)) RAW OTHER;\nMATERIALIZE J;", "J", True),
-            ("C = COVER(2, ANY) RAW;\nMATERIALIZE C;", "C", True),
-            ("D = DIFFERENCE() RAW OTHER;\nMATERIALIZE D;", "D", True),
-            ("D = DIFFERENCE(exact) RAW OTHER;\nMATERIALIZE D;", "D",
-             False),
-        ],
-    )
-    def test_morsel_safety_is_node_local(self, program, output, safe):
-        plan = plan_for(program, output)
-        assert plan.effects.morsel_safe is safe
 
 
 class TestBounds:

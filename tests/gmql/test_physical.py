@@ -15,6 +15,7 @@ from repro.gmql.lang import (
     optimize,
     plan_program,
 )
+from repro.gmql.lang.effects import Effects
 from tests.engine.test_backends import canonical, random_dataset
 
 
@@ -31,45 +32,50 @@ QUERY = (
 )
 
 
+#: Every plan-node kind that runs a kernel (scans and statically
+#: empty nodes are not routed by size).
+KERNEL_KINDS = (
+    "select", "project", "extend", "merge", "group", "order", "union",
+    "difference", "cover", "map", "join",
+)
+FAN_OUT_KINDS = ("join", "cover")
+C, T = COLUMNAR_REGION_THRESHOLD, PARALLEL_REGION_THRESHOLD
+
+
+def routes(kinds, sizes) -> set:
+    """The backends ``auto`` picks for every kind at every size."""
+    return {
+        choose_backend(kind, size)[0] for kind in kinds for size in sizes
+    }
+
+
 class TestChooseBackend:
-    AVAILABLE = ("auto", "columnar", "naive", "parallel")
+    """One boundary table: every kind at C-1, C, T-1, T and 10*T, where
+    C and T are the columnar and parallel thresholds."""
 
     def test_scan_is_source(self):
-        name, __ = choose_backend("scan", 10**9, self.AVAILABLE)
+        name, __ = choose_backend("scan", 10**9)
         assert name == "source"
 
     def test_small_inputs_stay_naive(self):
-        for kind in ("select", "map", "join", "cover"):
-            name, __ = choose_backend(kind, 10, self.AVAILABLE)
-            assert name == "naive"
+        assert routes(KERNEL_KINDS, [C - 1]) == {"naive"}
 
     def test_medium_inputs_go_columnar(self):
-        name, __ = choose_backend(
-            "select", COLUMNAR_REGION_THRESHOLD, self.AVAILABLE
-        )
-        assert name == "columnar"
+        assert routes(KERNEL_KINDS, [C, T - 1]) == {"columnar"}
 
     def test_region_heavy_operators_go_parallel_on_large_inputs(self):
-        for kind in ("map", "join", "cover", "difference"):
-            name, reason = choose_backend(
-                kind, PARALLEL_REGION_THRESHOLD, self.AVAILABLE
-            )
-            assert name == "parallel", kind
-            assert kind in reason
+        assert routes(FAN_OUT_KINDS, [T, 10 * T]) == {"parallel"}
 
     def test_non_partitionable_operators_cap_at_columnar(self):
-        name, __ = choose_backend(
-            "select", PARALLEL_REGION_THRESHOLD * 10, self.AVAILABLE
-        )
-        assert name == "columnar"
+        others = [kind for kind in KERNEL_KINDS if kind not in FAN_OUT_KINDS]
+        assert routes(others, [T, 10 * T]) == {"columnar"}
 
-    def test_degrades_without_parallel(self):
-        name, __ = choose_backend(
-            "map", PARALLEL_REGION_THRESHOLD, ("naive", "columnar")
+    def test_input_bound_below_parallel_threshold_keeps_join_columnar(self):
+        name, reason = choose_backend(
+            "join", 10 * T, effects=Effects(input_bound=T - 1)
         )
         assert name == "columnar"
-        name, __ = choose_backend("map", PARALLEL_REGION_THRESHOLD, ("naive",))
-        assert name == "naive"
+        assert "capped by inferred bound" in reason
 
 
 class TestPlanProgram:
@@ -110,8 +116,9 @@ class TestPlanProgram:
             engine="auto",
         )
         chosen = physical.chosen_backends()
-        for kind in ("map", "join", "cover"):
-            assert chosen[kind] == {"parallel"}, chosen
+        assert chosen["join"] == {"parallel"}, chosen
+        assert chosen["cover"] == {"parallel"}, chosen
+        assert chosen["map"] == {"columnar"}, chosen
 
     def test_small_inputs_stay_naive(self):
         compiled = optimize(compile_program(QUERY))

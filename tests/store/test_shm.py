@@ -15,6 +15,7 @@ Note: these tests never construct ``SharedMemory`` directly
 existence checks go through :func:`segment_exists`.
 """
 
+import errno
 import random
 from functools import partial
 
@@ -29,6 +30,8 @@ from repro.gmql.lang import Interpreter, compile_program, execute, optimize
 from repro.serve.state import WarmState
 from repro.store import shm as shm_mod
 from repro.store.shm import ArrayShipper, materialise, segment_exists
+
+from tests.engine.test_float_aggregates import bitwise
 
 BIG = np.arange(4096, dtype=np.int64)  # comfortably over MIN_SHARED_BYTES
 
@@ -193,6 +196,54 @@ class TestBackendLifecycle:
             engine="parallel",
             context=context,
         )
+        metrics = context.metrics.snapshot()
+        assert metrics.get("shm.bytes_shared", 0) == 0
+        assert metrics.get("shm.bytes_pickled", 0) > 0
+
+
+def _refuse_segments(monkeypatch) -> None:
+    """Make every ``SharedMemory`` construction fail the way a host out
+    of ``/dev/shm`` space or file descriptors does."""
+    from multiprocessing import shared_memory
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "no space left for a segment")
+
+    monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+
+
+class TestSegmentCreationFails:
+    """The shipper's last degradation path: segments are on by default,
+    and the first failed create turns them off for good."""
+
+    def test_ship_degrades_to_raw_and_stays_off(self, monkeypatch):
+        _refuse_segments(monkeypatch)
+        with ArrayShipper() as shipper:
+            assert shipper.enabled
+            handle = shipper.ship(BIG)
+            assert handle[0] == "raw" and handle[1] is BIG
+            assert shipper.bytes_pickled == BIG.nbytes
+            assert shipper.bytes_shared == 0
+            assert shipper.enabled is False
+            assert shipper.ship(BIG + 1)[0] == "raw"
+            assert shipper.segment_names() == []
+
+    @pytest.mark.parametrize("program", [
+        "R = MAP(n AS COUNT, a AS AVG(score)) DATA DATA; MATERIALIZE R;",
+        "R = JOIN(DLE(50); output: LEFT) DATA DATA; MATERIALIZE R;",
+    ], ids=["map", "join"])
+    def test_parallel_matches_naive(self, monkeypatch, program):
+        _refuse_segments(monkeypatch)
+        monkeypatch.setattr(shm_mod, "MIN_SHARED_BYTES", 0)
+        sources = {"DATA": _seed_dataset()}
+        context = ExecutionContext(result_cache=False)
+        got = execute(program, sources, engine="parallel", context=context)
+        expected = execute(
+            program, sources, engine="naive",
+            context=ExecutionContext(result_cache=False),
+        )
+        assert got["R"].region_count() > 0
+        assert bitwise(got) == bitwise(expected)
         metrics = context.metrics.snapshot()
         assert metrics.get("shm.bytes_shared", 0) == 0
         assert metrics.get("shm.bytes_pickled", 0) > 0
