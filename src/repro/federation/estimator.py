@@ -73,6 +73,34 @@ def summarize_datasets(datasets: dict) -> dict:
     return {name: dataset.summary() for name, dataset in datasets.items()}
 
 
+def exact_select_estimate(node: PlanNode, datasets: dict) -> Estimate | None:
+    """The exact size of a metadata-only SELECT over a held dataset.
+
+    A SELECT with a metadata predicate and neither a region predicate
+    nor a semijoin, reading a scan of one of *datasets*, keeps exactly
+    the samples whose metadata satisfies the predicate, with all their
+    regions: so count them instead of applying
+    :data:`META_SELECT_SELECTIVITY`.  ``None`` for any other node.
+    """
+    if not (
+        isinstance(node, SelectPlan)
+        and node.meta_predicate is not None
+        and node.region_predicate is None
+        and node.semijoin_plan is None
+        and isinstance(node.child, ScanPlan)
+    ):
+        return None
+    source = datasets.get(node.child.dataset_name)
+    if source is None:
+        return None
+    kept = [sample for sample in source if node.meta_predicate(sample.meta)]
+    return Estimate(
+        samples=max(len(kept), 1),
+        regions=sum(map(len, kept)),
+        attributes=len(source.schema) or 1,
+    )
+
+
 def estimate_plan(
     node: PlanNode, catalog_summaries: dict, cache: dict | None = None
 ) -> Estimate:

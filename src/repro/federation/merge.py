@@ -58,15 +58,20 @@ def parse_staged_sections(meta_blob: bytes, region_blob: bytes,
         raise FederationError(
             f"staged result for {name!r} carries no schema header"
         )
-    region_format = CustomBedFormat(schema)
-    regions_by_sample: dict = {}
-    current_regions: list = []
+    # Every group of lines is parsed (and so checked) in blob order, the
+    # lines before the first sample header too, under the key ``None``;
+    # a repeated header's last group wins.
+    groups: list = [(None, [])]
     for line in region_blob.decode().splitlines():
         if line.startswith("#sample\t"):
-            current_regions = []
-            regions_by_sample[int(line.split("\t", 1)[1])] = current_regions
+            groups.append((int(line.split("\t", 1)[1]), []))
         elif line:
-            current_regions.append(region_format.parse_line(line.split("\t")))
+            groups[-1][1].append(line)
+    region_format = CustomBedFormat(schema)
+    regions_by_sample = {
+        sample_id: _parse_region_lines(region_format, lines)
+        for sample_id, lines in groups
+    }
     samples = [
         Sample(sample_id,
                regions_by_sample.get(sample_id, []),
@@ -74,6 +79,16 @@ def parse_staged_sections(meta_blob: bytes, region_blob: bytes,
         for sample_id in sorted(meta_by_sample)
     ]
     return Dataset(name, schema, samples, validate=False)
+
+
+def _parse_region_lines(region_format: CustomBedFormat, lines: list):
+    """One staged sample's region lines, as columns when they convert
+    (:meth:`CustomBedFormat.column_rows`), else line by line -- which
+    raises the line parser's own error."""
+    rows = region_format.column_rows(lines)
+    if rows is None:
+        rows = [region_format.parse_line(line.split("\t")) for line in lines]
+    return rows
 
 
 def read_blob_sections(path: str) -> tuple | None:

@@ -8,9 +8,18 @@ a :class:`~repro.gdm.schema.RegionSchema`.
 
 from __future__ import annotations
 
-from repro.errors import FormatError
+from itertools import groupby
+from typing import IO
+
+import numpy as np
+
+from repro.errors import CoordinateError, FormatError, SchemaError
 from repro.formats.base import RegionFormat
 from repro.gdm import FLOAT, GenomicRegion, RegionSchema, STR
+from repro.gdm.sample import ColumnRows
+
+#: :meth:`RegionFormat.parse_strand`'s mapping, as a lookup table.
+_STRAND_FIELDS = {"+": "+", "-": "-", ".": "*", "*": "*", "": "*"}
 
 
 class BedFormat(RegionFormat):
@@ -70,7 +79,64 @@ class CustomBedFormat(RegionFormat):
     def schema(self) -> RegionSchema:
         return self._schema
 
+    def parse_columns(self, source: str | IO[str]) -> ColumnRows | list:
+        """Parse a whole document into columns: the GDM repository read.
+
+        The rows come back as :class:`~repro.gdm.sample.ColumnRows` in
+        file order (see :meth:`column_rows`), no region object built.
+        A document some column of which fails to convert goes through
+        :meth:`parse` instead, which raises its line-numbered error --
+        or, for coordinates beyond int64, returns its region list.
+        """
+        text = source if isinstance(source, str) else source.read()
+        lines = text.split("\n")
+        if "\r" in text:
+            lines = [line.rstrip("\r") for line in lines]
+        # Blank lines are dropped here; whitespace-only ones fail to
+        # convert below and reach the line parser, which skips them.
+        rows = self.column_rows([
+            line for line in lines
+            if line and not line.startswith(self.comment_prefixes)
+        ])
+        return self.parse(text) if rows is None else rows
+
+    def column_rows(self, lines: list) -> ColumnRows | None:
+        """Region *lines* (no comment or blank line) as columns, or ``None``.
+
+        The fields are transposed and each column converted once:
+        coordinates with ``int`` into int64 arrays, strands through
+        :meth:`parse_strand`'s mapping, values through their type's
+        :meth:`~repro.gdm.schema.AttributeType.parse_column`, so every
+        value is the one :meth:`parse_line` gives.  ``None`` when any
+        conversion fails: a ragged line, a bad strand, a non-integer or
+        beyond-int64 coordinate, a value or region the line parser
+        rejects -- the caller then parses line by line.
+        """
+        width = 4 + len(self._schema)
+        fields = [line.split("\t") for line in lines]
+        if set(map(len, fields)) - {width}:
+            return None
+        count = len(fields)
+        chroms, lefts, rights, strands, *values = (
+            zip(*fields) if fields else ((),) * width
+        )
+        try:
+            return ColumnRows(
+                [(chrom, len(list(run))) for chrom, run in groupby(chroms)],
+                np.fromiter(map(int, lefts), np.int64, count),
+                np.fromiter(map(int, rights), np.int64, count),
+                list(map(_STRAND_FIELDS.__getitem__, strands)),
+                [
+                    definition.type.parse_column(column)
+                    for definition, column in zip(self._schema, values)
+                ],
+            )
+        except (ValueError, OverflowError, KeyError, CoordinateError,
+                SchemaError):
+            return None
+
     def parse_line(self, fields: list) -> GenomicRegion:
+        """One line's region: the fallback of :meth:`parse_columns`."""
         self.require(fields, 4)
         chrom = fields[0]
         left, right = int(fields[1]), int(fields[2])

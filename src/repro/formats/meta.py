@@ -10,6 +10,16 @@ as a directory::
       S_00001.gdm         # region rows of sample 1
       S_00001.gdm.meta    # metadata pairs of sample 1
       ...
+
+:func:`read_dataset` reads each sample file into columns
+(:meth:`~repro.formats.bed.CustomBedFormat.parse_columns`), so a source
+is born as columns: its row count, chromosome runs, strands, store
+blocks and content digest are all answered from them, and its
+:class:`~repro.gdm.GenomicRegion` objects are built only when something
+asks for ``sample.regions`` -- an operator that reads region objects
+(JOIN's row gather, MAP's reference, region SELECT, the object
+operators) or a writer.  A sample file the column parse cannot convert
+is read line by line instead, with that parser's errors.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ def read_dataset(directory: str, name: str | None = None) -> Dataset:
             continue
         sample_id = int(match.group(1))
         with open(os.path.join(directory, entry)) as handle:
-            regions = region_format.parse(handle)
+            regions = region_format.parse_columns(handle)
         meta_path = os.path.join(directory, entry + ".meta")
         meta = Metadata()
         if os.path.exists(meta_path):

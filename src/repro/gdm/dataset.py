@@ -38,7 +38,7 @@ class Dataset:
     """
 
     __slots__ = ("name", "schema", "_samples", "provenance", "_stores",
-                 "_shard_summary", "_digest_memo")
+                 "_shard_summary", "_digest_memo", "_var_info")
 
     def __init__(
         self,
@@ -62,6 +62,11 @@ class Dataset:
         #: result-cache entry of (see :mod:`repro.serve.scheduler`);
         #: invalidated with the stores, never pickled.
         self._digest_memo: tuple | None = None
+        #: What the GMQL analyzer knows of this dataset as a source
+        #: (memo of :func:`repro.gmql.lang.semantics._dataset_var_info`,
+        #: which every compile over it asks for); invalidated with the
+        #: stores, never pickled.
+        self._var_info = None
         #: Provenance records attached by GMQL operators (see
         #: :mod:`repro.gmql.provenance`); empty for source datasets.
         self.provenance: list = []
@@ -82,6 +87,7 @@ class Dataset:
         self._stores = {}
         self._shard_summary = None
         self._digest_memo = None
+        self._var_info = None
 
     def _conform(self, sample: Sample) -> Sample:
         width = len(self.schema)
@@ -226,7 +232,8 @@ class Dataset:
 
     def __getstate__(self) -> dict:
         """Drop memoised stores: memmaps and block arrays never travel.
-        Nor does a digest memo, which only vouches for this object.
+        Nor do the digest and analyzer memos, which only vouch for this
+        object.
 
         A revived dataset (worker process, persisted result cache)
         rebuilds or re-opens its store lazily, which is both smaller on
@@ -247,6 +254,7 @@ class Dataset:
         self._stores = {}
         self._shard_summary = None
         self._digest_memo = None
+        self._var_info = None
 
     def estimated_size_bytes(self) -> int:
         """Rough serialised size, used by the federation cost estimator.

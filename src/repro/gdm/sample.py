@@ -30,7 +30,7 @@ from repro.gdm.region import GenomicRegion, check_region_columns
 _CHROM = attrgetter("chrom")
 
 
-def _listed(column) -> list:
+def listed(column) -> list:
     """A column as a list of Python values (arrays convert)."""
     return column.tolist() if isinstance(column, np.ndarray) else column
 
@@ -97,12 +97,18 @@ class RowSource:
     :meth:`rows`, :meth:`chromosome_runs` and :meth:`_build`; coordinate
     columns they compute themselves pass
     :func:`~repro.gdm.region.check_region_columns` when they are born.
+
+    :attr:`memo` holds what the columnar store derives from these rows
+    (see :func:`repro.store.columnar.region_memo`), just as a
+    :class:`RegionList`'s does; the list :meth:`regions` builds adopts
+    it, so blocks built from the columns survive materialisation.
     """
 
-    __slots__ = ("_regions",)
+    __slots__ = ("_regions", "memo")
 
     def __init__(self) -> None:
         self._regions = None
+        self.memo = None
 
     def __len__(self) -> int:
         raise NotImplementedError
@@ -127,9 +133,15 @@ class RowSource:
                 regions = self._regions
                 if regions is None:
                     regions = RegionList(self._build())
+                    regions.memo = self.memo
                     _ROWS_MATERIALISED += len(regions)
                     self._regions = regions
         return regions
+
+    @property
+    def built(self) -> RegionList | None:
+        """The region list :meth:`regions` built, or ``None`` before."""
+        return self._regions
 
 
 class ColumnRows(RowSource):
@@ -137,7 +149,9 @@ class ColumnRows(RowSource):
     ``[(chrom, count), ...]``, ``lefts`` and ``rights`` (integer arrays),
     one strand symbol per row, and one column per variable value (an
     array or a list of Python values).  What COVER-family and JOIN
-    outputs are born from; their coordinates are checked here."""
+    outputs and samples read from GDM files
+    (:meth:`repro.formats.bed.CustomBedFormat.parse_columns`) are born
+    from; their coordinates are checked here."""
 
     __slots__ = ("runs", "lefts", "rights", "strands", "values")
 
@@ -162,7 +176,7 @@ class ColumnRows(RowSource):
                                 for chrom, count in self.runs),
             self.lefts.tolist(),
             self.rights.tolist(),
-            *map(_listed, (self.strands, *self.values)),
+            *map(listed, (self.strands, *self.values)),
         ]
 
     def rows(self, sample_id: int) -> Iterator[tuple]:
@@ -262,11 +276,10 @@ class Sample:
     def regions(self, regions) -> None:
         self._regions = regions
 
-    def peek_regions(self):
-        """The region list, or ``None`` while the sample is still columns
-        (never materialises)."""
-        regions = self._regions
-        return None if isinstance(regions, RowSource) else regions
+    def held_rows(self):
+        """The rows as the sample holds them, never materialised: its
+        region list, or the :class:`RowSource` it was born from."""
+        return self._regions
 
     # -- pickling: always the eager state -------------------------------------
 

@@ -289,7 +289,11 @@ def plan_program(
     """
     # Imported lazily: repro.federation's package __init__ imports the
     # GMQL language package, which imports this module.
-    from repro.federation.estimator import estimate_plan, summarize_datasets
+    from repro.federation.estimator import (
+        estimate_plan,
+        exact_select_estimate,
+        summarize_datasets,
+    )
 
     if summaries is None:
         summaries = summarize_datasets(datasets or {})
@@ -330,6 +334,9 @@ def plan_program(
         if id(node) in memo:
             return memo[id(node)]
         children = [build(child) for child in node.children]
+        exact = exact_select_estimate(node, datasets) if datasets else None
+        if exact is not None:
+            estimates[id(node)] = exact
         estimate = estimate_plan(node, summaries, estimates)
         effects = node_effects(
             node, [child.effects for child in children], summaries

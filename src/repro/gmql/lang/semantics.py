@@ -40,9 +40,11 @@ exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import EvaluationError
 from repro.gdm import BOOL, FLOAT, INT, STR, RegionSchema
+from repro.gdm.sample import ColumnRows
 from repro.gmql.aggregates import ORDERED, aggregate_named
 from repro.gmql.lang import ast_nodes as ast
 from repro.gmql.lang.span import Span, caret_frame
@@ -102,6 +104,7 @@ _NUMERIC_AGGREGATES = frozenset({"SUM", "AVG", "MEDIAN", "STD"})
 
 #: How many regions to inspect when probing a dataset for strandedness.
 _STRAND_PROBE_LIMIT = 10_000
+_STRAND = attrgetter("strand")
 
 #: Sentinel: an attribute that provably cannot exist.
 _MISSING = object()
@@ -502,15 +505,35 @@ def _predicate_attributes(node):
 
 
 def _dataset_var_info(dataset) -> VarInfo:
-    """Exact :class:`VarInfo` for an in-memory dataset."""
+    """Exact :class:`VarInfo` for an in-memory dataset.
+
+    Memoised on the dataset (its ``_var_info``, reset when a sample is
+    added): a resident source is analysed once, not on every compile.
+    """
+    info = dataset._var_info
+    if info is None:
+        info = dataset._var_info = _derive_var_info(dataset)
+    return info
+
+
+def _strands_of(sample):
+    """A sample's strand symbols in row order; a sample born as columns
+    gives its strand column (never materialised)."""
+    rows = sample.held_rows()
+    if isinstance(rows, ColumnRows):
+        return rows.strands
+    return map(_STRAND, sample.regions)
+
+
+def _derive_var_info(dataset) -> VarInfo:
     meta_attrs: set = set()
     for sample in dataset:
         meta_attrs.update(sample.meta.attributes())
     stranded: bool | None = False
     probed = 0
     for sample in dataset:
-        for region in sample.regions:
-            if region.strand in ("+", "-"):
+        for strand in _strands_of(sample):
+            if strand in ("+", "-"):
                 stranded = True
                 break
             probed += 1

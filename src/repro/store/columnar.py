@@ -36,7 +36,11 @@ import numpy as np
 
 from repro.gdm.region import chromosome_sort_key
 from repro.gdm.sample import (
+    ColumnRows,
     RegionList,
+    RowSource,
+    chromosome_runs,
+    listed,
     reset_rows_materialised,
     rows_materialised,
 )
@@ -51,6 +55,8 @@ STRAND_CODES = {"+": 1, "-": -1, "*": 0}
 #: Rank of each strand code in ``str`` order (``'*' < '+' < '-'``),
 #: indexed by ``code + 1``.
 _STRAND_RANKS = np.array([2, 0, 1], dtype=np.int8)
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 _LEFT = attrgetter("left")
 _RIGHT = attrgetter("right")
@@ -348,40 +354,66 @@ class SampleBlocks:
 
     ``sample_id`` is the id of the sample the blocks were first built
     for; samples sharing the region list share the blocks whatever
-    their own ids.
+    their own ids.  *regions* is a region list or a
+    :class:`~repro.gdm.sample.RowSource`; a
+    :class:`~repro.gdm.sample.ColumnRows` is read from its columns
+    (:meth:`from_columns`), never materialised.
     """
 
     __slots__ = ("sample_id", "n_regions", "chroms", "zone_map")
 
     def __init__(self, sample_id, regions, bin_size: int) -> None:
+        self._fill(sample_id, *_row_columns(regions), bin_size)
+
+    @classmethod
+    def from_columns(
+        cls, sample_id, runs: list, lefts: np.ndarray, rights: np.ndarray,
+        strands: np.ndarray, bin_size: int,
+    ) -> "SampleBlocks":
+        """Blocks of rows given as columns in row order: the chromosome
+        runs ``[(chrom, count), ...]``, the coordinates and the
+        :data:`STRAND_CODES` strand codes.
+
+        One block per chromosome in first-seen order, its rows in
+        ascending row order: the arrays the region-list constructor
+        builds.  A chromosome held in one run gets slices of the
+        columns, not copies.
+        """
+        blocks = cls.__new__(cls)
+        blocks._fill(sample_id, runs, lefts, rights, strands, bin_size)
+        return blocks
+
+    def _fill(self, sample_id, runs, lefts, rights, strands,
+              bin_size: int) -> None:
+        lefts = np.asarray(lefts, dtype=np.int64)
+        rights = np.asarray(rights, dtype=np.int64)
+        strands = np.asarray(strands, dtype=np.int8)
         self.sample_id = sample_id
-        self.n_regions = len(regions)
-        self.chroms: dict = {}
+        self.n_regions = int(lefts.size)
+        self.chroms = {}
         self.zone_map = ZoneMap(bin_size)
-        grouped: dict = {}  # chrom -> (positions, region objects)
-        for position, region in enumerate(regions):
-            group = grouped.get(region.chrom)
-            if group is None:
-                group = grouped[region.chrom] = ([], [])
-            group[0].append(position)
-            group[1].append(region)
-        for chrom, (positions, members) in grouped.items():
-            count = len(positions)
-            index = np.asarray(positions, dtype=np.int64)
-            starts = np.fromiter(
-                map(_LEFT, members), dtype=np.int64, count=count
-            )
-            stops = np.fromiter(
-                map(_RIGHT, members), dtype=np.int64, count=count
-            )
-            strands = np.fromiter(
-                (STRAND_CODES.get(strand, 0)
-                 for strand in map(_STRAND, members)),
-                dtype=np.int8, count=count,
-            )
-            self.chroms[chrom] = ChromBlock(
-                chrom, starts, stops, index, strands
-            )
+        spans: dict = {}  # chrom -> [(first row, end row), ...]
+        position = 0
+        for chrom, count in runs:
+            if count:
+                spans.setdefault(chrom, []).append(
+                    (position, position + count)
+                )
+                position += count
+        for chrom, pieces in spans.items():
+            if len(pieces) == 1:
+                (first, end), = pieces
+                index = np.arange(first, end, dtype=np.int64)
+                starts, stops = lefts[first:end], rights[first:end]
+                codes = strands[first:end]
+            else:
+                index = np.concatenate([
+                    np.arange(first, end, dtype=np.int64)
+                    for first, end in pieces
+                ])
+                starts, stops = lefts[index], rights[index]
+                codes = strands[index]
+            self.chroms[chrom] = ChromBlock(chrom, starts, stops, index, codes)
             self.zone_map.entries[chrom] = ZoneEntry(
                 chrom, starts, stops, bin_size
             )
@@ -453,28 +485,67 @@ class RegionMemo:
 _ATTACH_LOCK = threading.Lock()
 
 
+def _memo_holder(regions):
+    """What carries the memo of *regions*: a region list, a
+    :class:`~repro.gdm.sample.RowSource` not yet materialised (or else
+    the list it built), or ``None`` for anything else."""
+    if isinstance(regions, RowSource) and regions.built is not None:
+        return regions.built
+    return regions if isinstance(regions, (RegionList, RowSource)) else None
+
+
 def region_memo(regions) -> RegionMemo | None:
     """The memo of *regions*, attached on first use.
 
-    ``None`` when *regions* is not a
-    :class:`~repro.gdm.sample.RegionList` (a plain list a caller
-    assigned to ``sample.regions``): such a list cannot carry a memo,
-    so everything derived from it is rebuilt on request.
+    *regions* is a :class:`~repro.gdm.sample.RegionList` or a
+    :class:`~repro.gdm.sample.RowSource`, whose memo the list it builds
+    adopts.  ``None`` for anything else (a plain list a caller assigned
+    to ``sample.regions``): such a list cannot carry a memo, so
+    everything derived from it is rebuilt on request.
     """
-    if not isinstance(regions, RegionList):
+    holder = _memo_holder(regions)
+    if holder is None:
         return None
-    memo = regions.memo
+    memo = holder.memo
     if memo is None:
         with _ATTACH_LOCK:
-            memo = regions.memo
+            memo = holder.memo
             if memo is None:
-                memo = regions.memo = RegionMemo()
+                memo = holder.memo = RegionMemo()
     return memo
 
 
 def _peek_memo(regions) -> RegionMemo | None:
     """The memo of *regions* if one is attached (never attaches one)."""
-    return regions.memo if isinstance(regions, RegionList) else None
+    holder = _memo_holder(regions)
+    return None if holder is None else holder.memo
+
+
+def _strand_codes(strands) -> np.ndarray:
+    """The :data:`STRAND_CODES` of a column of strand symbols."""
+    return np.fromiter(
+        map(STRAND_CODES.__getitem__, strands), np.int8, len(strands)
+    )
+
+
+def _row_columns(rows) -> tuple:
+    """``(runs, lefts, rights, strand codes)`` of one sample's rows.
+
+    A :class:`~repro.gdm.sample.ColumnRows` answers from its own
+    columns; any other :class:`~repro.gdm.sample.RowSource` is
+    materialised; a region list is read once per column.
+    """
+    if isinstance(rows, ColumnRows):
+        return rows.runs, rows.lefts, rows.rights, _strand_codes(rows.strands)
+    if isinstance(rows, RowSource):
+        rows = rows.regions()
+    count = len(rows)
+    return (
+        chromosome_runs(rows),
+        np.fromiter(map(_LEFT, rows), np.int64, count),
+        np.fromiter(map(_RIGHT, rows), np.int64, count),
+        _strand_codes(list(map(_STRAND, rows))),
+    )
 
 
 _UNSET = object()
@@ -777,6 +848,53 @@ def _update_column(h, column: list, count: int) -> None:
 _TYPE_TAGS = {float: "f", int: "i", str: "s", bool: "b", type(None): "n"}
 
 
+def _update_regions(h, regions, count: int) -> None:
+    """Hash one sample's region objects (recipe v3, see
+    :meth:`DatasetStore.digest`)."""
+    try:
+        coordinates = (
+            np.fromiter((r.left for r in regions), np.int64, count).tobytes(),
+            np.fromiter((r.right for r in regions), np.int64, count).tobytes(),
+        )
+    except OverflowError:  # coordinates beyond int64
+        coordinates = (
+            ";".join(f"{r.left}-{r.right}" for r in regions).encode(),
+        )
+    for piece in coordinates:
+        h.update(piece)
+    _update_strings(h, [r.chrom for r in regions])
+    _update_strings(h, [r.strand for r in regions])
+    rows = [r.values for r in regions]
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        width = widths.pop()
+        h.update(f"|values:{width};".encode())
+        for index in range(width):
+            _update_column(h, [row[index] for row in rows], count)
+    else:
+        # Ragged value tuples (only possible with validation off): fall
+        # back to exhaustive per-region hashing.
+        h.update(b"|values:ragged;")
+        h.update(";".join(map(repr, rows)).encode())
+
+
+def _update_column_rows(h, rows: ColumnRows, count: int) -> None:
+    """:func:`_update_regions` over a sample born as columns: the same
+    bytes, read from the columns (their rows all have one width)."""
+    h.update(np.asarray(rows.lefts, dtype=np.int64).tobytes())
+    h.update(np.asarray(rows.rights, dtype=np.int64).tobytes())
+    runs = [(chrom, n) for chrom, n in rows.runs if n]
+    h.update(",".join(
+        ",".join([str(len(chrom))] * n) for chrom, n in runs
+    ).encode())
+    h.update(b";")
+    h.update("".join(chrom * n for chrom, n in runs).encode())
+    _update_strings(h, listed(rows.strands))
+    h.update(f"|values:{len(rows.values)};".encode())
+    for column in rows.values:
+        _update_column(h, listed(column), count)
+
+
 class _StoreContents:
     """What a store reads of its dataset: the schema and the live sample map.
 
@@ -916,8 +1034,8 @@ class DatasetStore:
         """Drop the union blocks (ledger spill callback).
 
         A persisted store re-serves them as mmap views on the next
-        request; an unpersisted one rebuilds them from the region
-        objects.  The dataset-level zone map survives -- it is small and
+        request; an unpersisted one rebuilds them from the samples'
+        rows.  The dataset-level zone map survives -- it is small and
         plan-time pruning depends on it.
         """
         if self._union is not None:
@@ -947,19 +1065,19 @@ class DatasetStore:
         """
         from repro.store.persist import residency_ledger
 
-        regions = sample.regions
-        memo = region_memo(regions)
+        rows = sample.held_rows()
+        memo = region_memo(rows)
         blocks = memo.blocks.get(self.bin_size) if memo is not None else None
         if blocks is not None:
             residency_ledger().touch(memo, self.bin_size)
             self._schedule_persist()
             return blocks
-        blocks = self._mapped_blocks(sample.id, len(regions))
+        blocks = self._mapped_blocks(sample.id, len(rows))
         if blocks is not None:
             if memo is not None:
                 memo.blocks[self.bin_size] = blocks
             return blocks
-        blocks = SampleBlocks(sample.id, regions, self.bin_size)
+        blocks = SampleBlocks(sample.id, rows, self.bin_size)
         if memo is not None:
             memo.blocks[self.bin_size] = blocks
         self._built(memo, self.bin_size, blocks)
@@ -975,14 +1093,16 @@ class DatasetStore:
             return union
         union = self._mapped_blocks(None, self._dataset.region_count())
         if union is None:
-            union = SampleBlocks(
-                None,
-                [
-                    region
-                    for sample in self._dataset
-                    for region in sample.regions
-                ],
-                self.bin_size,
+            columns = [
+                _row_columns(sample.held_rows()) for sample in self._dataset
+            ]
+            lefts, rights, strands = (
+                np.concatenate([part[field] for part in columns] or [_NO_ROWS])
+                for field in (1, 2, 3)
+            )
+            union = SampleBlocks.from_columns(
+                None, [run for part in columns for run in part[0]],
+                lefts, rights, strands, self.bin_size,
             )
             self._union = union
             self._built(self, UNION_KEY, union)
@@ -1004,7 +1124,7 @@ class DatasetStore:
         return [
             memo
             for memo in map(
-                _peek_memo, (s.peek_regions() for s in self._dataset)
+                _peek_memo, (s.held_rows() for s in self._dataset)
             )
             if memo is not None
         ]
@@ -1063,9 +1183,11 @@ class DatasetStore:
         results freely and a rename does not change content, so
         fingerprint-keyed caches stay valid across renames.
 
-        Computed straight from the region objects -- never from blocks --
-        because the digest *keys* the persisted store: looking a store up
-        must not first build the blocks the lookup exists to avoid.
+        Computed straight from the rows as each sample holds them -- the
+        columns of a sample born as columns, else the region objects;
+        never from blocks -- because the digest *keys* the persisted
+        store: looking a store up must not first build the blocks the
+        lookup exists to avoid.  Both give the same bytes.
 
         Recipe v3 feeds coordinates and numeric attribute columns to the
         hash as raw fixed-width bytes (with an explicit per-value type
@@ -1089,43 +1211,14 @@ class DatasetStore:
                     for __, a, v in sample.meta.triples(sample.id)
                 ):
                     h.update(f"@{attribute}={value};".encode())
-                regions = sample.regions
-                count = len(regions)
+                rows = sample.held_rows()
+                count = len(rows)
                 h.update(f"|regions:{count};".encode())
                 if not count:
                     continue
-                try:
-                    coordinates = (
-                        np.fromiter(
-                            (r.left for r in regions), np.int64, count
-                        ).tobytes(),
-                        np.fromiter(
-                            (r.right for r in regions), np.int64, count
-                        ).tobytes(),
-                    )
-                except OverflowError:  # coordinates beyond int64
-                    coordinates = (
-                        ";".join(
-                            f"{r.left}-{r.right}" for r in regions
-                        ).encode(),
-                    )
-                for piece in coordinates:
-                    h.update(piece)
-                _update_strings(h, [r.chrom for r in regions])
-                _update_strings(h, [r.strand for r in regions])
-                rows = [r.values for r in regions]
-                widths = set(map(len, rows))
-                if len(widths) == 1:
-                    width = widths.pop()
-                    h.update(f"|values:{width};".encode())
-                    for index in range(width):
-                        _update_column(
-                            h, [row[index] for row in rows], count
-                        )
+                if isinstance(rows, ColumnRows):
+                    _update_column_rows(h, rows, count)
                 else:
-                    # Ragged value tuples (only possible with validation
-                    # off): fall back to exhaustive per-region hashing.
-                    h.update(b"|values:ragged;")
-                    h.update(";".join(map(repr, rows)).encode())
+                    _update_regions(h, sample.regions, count)
             self._digest = h.hexdigest()
         return self._digest

@@ -27,6 +27,7 @@ from repro.gdm import (
     Sample,
     results_digest,
 )
+from repro.gdm.sample import RegionList, RowSource
 from repro.gmql.lang import execute
 from repro.store.columnar import reset_store_counters, store_counters
 
@@ -87,7 +88,9 @@ def reprs(rows) -> list:
 
 def lazy_samples(dataset: Dataset) -> list:
     samples = list(dataset)
-    assert samples and all(s.peek_regions() is None for s in samples)
+    assert samples and all(
+        isinstance(s.held_rows(), RowSource) for s in samples
+    )
     return samples
 
 
@@ -101,7 +104,7 @@ def test_rows_equal_materialised_and_naive_rows(name):
     assert sum(lengths) > 0
     for sample in samples:
         assert isinstance(sample.regions, list)
-        assert sample.peek_regions() is sample.regions
+        assert sample.held_rows() is sample.regions
     assert [reprs(s.rows()) for s in samples] == lazy
     assert [len(s) for s in samples] == lengths
     assert lazy == [reprs(s.rows()) for s in oracle]
@@ -124,7 +127,7 @@ def test_pickle_is_the_eager_state(name):
     assert pickle.dumps(lazy) == pickle.dumps(eager)
     revived = pickle.loads(pickle.dumps(run(name)))
     for sample, expected in zip(revived, eager):
-        assert sample.peek_regions() is not None
+        assert isinstance(sample.held_rows(), RegionList)
         assert reprs(sample.rows()) == reprs(expected.rows())
         assert reprs(sample.regions) == reprs(expected.regions)
 
@@ -174,7 +177,7 @@ def test_chromosome_walks_equal_the_eager_sample(name):
     lazy_samples(result)
     summary, chroms = result.shard_summary(), result.chromosomes()
     runs = [s.chromosome_runs() for s in result]
-    assert all(s.peek_regions() is None for s in result)
+    assert all(isinstance(s.held_rows(), RowSource) for s in result)
     eager = Dataset("R", result.schema, [
         Sample(s.id, list(s.regions), s.meta) for s in result
     ], validate=False)

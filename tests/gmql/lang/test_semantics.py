@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from repro.engine.context import ExecutionContext
 from repro.errors import GmqlCompileError
 from repro.formats import read_dataset
-from repro.gdm import FLOAT, INT
+from repro.gdm import FLOAT, INT, Metadata, Sample, region
+from repro.gdm.sample import rows_materialised
 from repro.gmql.lang import (
     analyze_program,
     compile_program,
@@ -113,6 +114,26 @@ class TestInference:
         assert dict(source.region.attrs) == {"p_value": FLOAT}
         assert source.stranded is False  # every region is '*'
         assert analysis.diagnostics == ()
+
+    def test_source_info_memoised_until_a_sample_is_added(self, encode):
+        program = "X = SELECT(cell == 'HeLa') ENCODE;\nMATERIALIZE X;\n"
+        first = analyze_program(program, datasets={"ENCODE": encode})
+        again = analyze_program(program, datasets={"ENCODE": encode})
+        assert again.sources["ENCODE"] is first.sources["ENCODE"]
+        encode.add_sample(Sample(99, [region("chr2", 0, 10, "+", 0.5)],
+                                 Metadata({"cell": "K562"})))
+        grown = analyze_program(program, datasets={"ENCODE": encode})
+        assert grown.sources["ENCODE"].stranded is True
+
+    def test_strand_probe_reads_a_column_born_source(self):
+        chip = read_dataset(str(CHIP_DIR), "CHIP")
+        before = rows_materialised()
+        analysis = analyze_program(
+            "X = COVER(1, ANY) CHIP;\nMATERIALIZE X;\n",
+            datasets={"CHIP": chip},
+        )
+        assert analysis.sources["CHIP"].stranded is True
+        assert rows_materialised() == before
 
 
 class TestPruning:

@@ -334,3 +334,55 @@ def test_planning_leaves_no_cycle_holding_the_sources():
         assert held() is None
     finally:
         gc.enable()
+
+
+class TestMetaSelectEstimate:
+    """A metadata-only SELECT over a source the planner holds is
+    counted, not halved: ``auto`` routes what reads it on its real
+    size."""
+
+    @staticmethod
+    def plan(query: str, dataset):
+        compiled = optimize(compile_program(query, datasets={"DATA": dataset}))
+        return plan_program(compiled, datasets={"DATA": dataset},
+                            engine="auto")
+
+    @staticmethod
+    def node(physical, kind):
+        (found,) = [n for n in physical.walk() if n.kind == kind]
+        return found
+
+    def test_select_keeping_every_sample_is_its_real_size(self):
+        dataset = random_dataset(5, n_samples=4, n_regions=300)
+        assert dataset.region_count() == 1_200
+        physical = self.plan(
+            "A = SELECT(replicate > 0) DATA; C = COVER(2, ANY) A;"
+            " MATERIALIZE C;", dataset,
+        )
+        select = self.node(physical, "select")
+        assert (select.estimate.samples, select.estimate.regions) == (4, 1_200)
+        cover = self.node(physical, "cover")
+        assert cover.input_regions == 1_200 >= C
+        assert cover.backend == "columnar"
+
+    def test_select_counts_the_samples_it_keeps(self):
+        dataset = random_dataset(5, n_samples=4, n_regions=300)
+        physical = self.plan(
+            "A = SELECT(replicate <= 2) DATA; MATERIALIZE A;", dataset
+        )
+        select = self.node(physical, "select")
+        assert (select.estimate.samples, select.estimate.regions) == (2, 600)
+
+    @pytest.mark.parametrize("predicate, regions", [
+        ("region: score > 1", 600),
+        # A region predicate beside the metadata one: both heuristics.
+        ("replicate > 0; region: score > 1", 300),
+    ])
+    def test_region_select_keeps_the_default_selectivity(
+        self, predicate, regions
+    ):
+        dataset = random_dataset(5, n_samples=4, n_regions=300)
+        physical = self.plan(
+            f"A = SELECT({predicate}) DATA; MATERIALIZE A;", dataset
+        )
+        assert self.node(physical, "select").estimate.regions == regions

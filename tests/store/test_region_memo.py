@@ -15,6 +15,7 @@ import threading
 import pytest
 
 from repro.engine.context import ExecutionContext
+from repro.formats import read_dataset, write_dataset
 from repro.gdm import (
     Dataset,
     GenomicRegion,
@@ -24,6 +25,7 @@ from repro.gdm import (
     renumber,
     results_digest,
 )
+from repro.gdm.sample import ColumnRows
 from repro.gmql import operators as ops
 from repro.gmql.aggregates import Count
 from repro.gmql.lang import execute
@@ -136,6 +138,37 @@ class TestSharing:
         reset_store_counters()
         assert run(DERIVED_MAP_COUNT, sources) == expected
         assert store_counters()["blocks_built"] == 0
+
+    def test_blocks_built_from_columns_survive_materialisation(self, tmp_path):
+        write_dataset(make_sources()["ENCODE"], str(tmp_path / "ENCODE"))
+        encode = read_dataset(str(tmp_path / "ENCODE"), "ENCODE")
+        sample = next(iter(encode))
+        rows = sample.held_rows()
+        assert isinstance(rows, ColumnRows)
+        reset_store_counters()
+        blocks = encode.store().blocks(sample)
+        assert region_memo(rows).blocks[encode.store().bin_size] is blocks
+        assert store_counters()["rows_materialised"] == 0
+        # The list the columns build adopts their memo, so every later
+        # request -- through the list or a fresh store -- is served.
+        regions = sample.regions
+        assert region_memo(regions) is region_memo(rows)
+        assert ops.select(encode, meta_predicate=lambda m: True).store(
+        ).blocks(sample) is blocks
+        assert store_counters()["blocks_built"] == 1
+
+    def test_cover_output_blocks_are_built_from_its_columns(self):
+        sources = make_sources()
+        program = "C = COVER(1, ANY) ENCODE;\nR = COVER(2, ANY) C;\n" \
+            "MATERIALIZE R;\n"
+        expected = run(program, sources, engine="naive")
+        reset_store_counters()
+        assert run(program, sources) == expected
+        # The second COVER reads the first one's blocks, built from its
+        # columns: no region object of either output is ever made.
+        counters = store_counters()
+        assert counters["blocks_built"] == len(sources["ENCODE"]) + 1
+        assert counters["rows_materialised"] == 0
 
     def test_a_plain_list_works_but_memoises_nothing(self):
         sample = next(iter(make_sources()["ENCODE"]))
