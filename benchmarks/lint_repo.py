@@ -34,6 +34,10 @@ RL011     ``GenomicRegion(...)`` or ``.with_values(...)`` call in
 RL012     ``perf_counter`` import under ``src/repro/engine`` or
           ``src/repro/gmql`` outside ``engine/context.py`` (the
           interpreter's per-node span is the one execution timer)
+RL013     ``.regions`` read in ``formats/meta.py``,
+          ``repository/staging.py`` or ``store/cache.py`` (the GDM
+          writer, the staged serialiser and the disk result cache read
+          a sample's column view, ``Sample.columns``)
 ========  =======================================================
 
 Checked trees: ``src``, ``tests``, ``benchmarks``.  The golden corpus
@@ -43,7 +47,8 @@ verified by ``tests/lint/test_lint_rules.py``).  A rule may also be
 scoped to some trees only (RL009: ``src``, RL010: ``src/repro/engine``,
 RL011: ``src/repro/engine/columnar.py``, RL012: ``src/repro/engine``
 and ``src/repro/gmql`` -- each also the corpus, so its snippet trips
-it).
+it; RL013: its three modules and its own snippet only, since other
+snippets read ``.regions`` legitimately).
 
 Exits nonzero listing ``path:line: RL0xx message`` for every violation.
 """
@@ -68,6 +73,12 @@ CLOCK_MODULE = ROOT / "src" / "repro" / "resilience" / "clock.py"
 SHM_MODULE = ROOT / "src" / "repro" / "store" / "shm.py"
 PERSIST_MODULE = ROOT / "src" / "repro" / "store" / "persist.py"
 OPERATORS_DIR = ROOT / "src" / "repro" / "gmql" / "operators"
+#: Modules that write results and must read columns, not objects (RL013).
+COLUMN_WRITERS = (
+    ROOT / "src" / "repro" / "formats" / "meta.py",
+    ROOT / "src" / "repro" / "repository" / "staging.py",
+    ROOT / "src" / "repro" / "store" / "cache.py",
+)
 
 #: ``(qualifier, attribute)`` call patterns that read the wall clock.
 WALL_CLOCK_CALLS = (
@@ -299,6 +310,16 @@ def _check_span_timer(rel, node, enclosing):
         )
 
 
+def _check_regions_read(rel, node, enclosing):
+    if isinstance(node, ast.Attribute) and node.attr == "regions":
+        yield (
+            node.lineno,
+            "sample.regions read by a result writer -- serialise or "
+            "store the sample's column view (Sample.columns), which "
+            "builds no region object",
+        )
+
+
 @dataclass(frozen=True)
 class Rule:
     """One table row: a stable code, a per-node checker, its scope."""
@@ -339,6 +360,9 @@ RULES: tuple = (
     Rule("RL012", "perf_counter import under engine/ or gmql/",
          _check_span_timer, exempt=(CONTEXT_MODULE,),
          only_under=(ENGINE_DIR, GMQL_DIR, SNIPPET_DIR)),
+    Rule("RL013", ".regions read by a result writer",
+         _check_regions_read,
+         only_under=(*COLUMN_WRITERS, SNIPPET_DIR / "rl013_regions_read.py")),
 )
 
 #: Codes handled outside the per-node table (parse + repo-level checks).

@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.errors import FederationError
 from repro.federation.shards import sample_chrom_runs
 from repro.formats.bed import CustomBedFormat, schema_from_header, schema_to_header
-from repro.formats.meta import parse_meta
+from repro.formats.meta import parse_meta, text_lines
 from repro.gdm import Dataset, Metadata, Sample, chromosome_sort_key
 from repro.store.persist import BLOB_HEADER, map_blob
 
@@ -44,7 +44,7 @@ def parse_staged_sections(meta_blob: bytes, region_blob: bytes,
         if current_id is not None:
             meta_by_sample[current_id] = parse_meta("\n".join(current_lines))
 
-    for line in meta_blob.decode().splitlines():
+    for line in text_lines(meta_blob.decode()):
         if line.startswith("#schema\t"):
             schema = schema_from_header(line.split("\t", 1)[1])
         elif line.startswith("#sample\t"):
@@ -62,7 +62,7 @@ def parse_staged_sections(meta_blob: bytes, region_blob: bytes,
     # lines before the first sample header too, under the key ``None``;
     # a repeated header's last group wins.
     groups: list = [(None, [])]
-    for line in region_blob.decode().splitlines():
+    for line in text_lines(region_blob.decode()):
         if line.startswith("#sample\t"):
             groups.append((int(line.split("\t", 1)[1]), []))
         elif line:

@@ -8,18 +8,24 @@ a :class:`~repro.gdm.schema.RegionSchema`.
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import IO
+from itertools import chain, groupby, islice, repeat
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
 from repro.errors import CoordinateError, FormatError, SchemaError
 from repro.formats.base import RegionFormat
 from repro.gdm import FLOAT, GenomicRegion, RegionSchema, STR
-from repro.gdm.sample import ColumnRows
+from repro.gdm.sample import ColumnRows, Sample, listed
 
 #: :meth:`RegionFormat.parse_strand`'s mapping, as a lookup table.
 _STRAND_FIELDS = {"+": "+", "-": "-", ".": "*", "*": "*", "": "*"}
+#: :meth:`RegionFormat.format_strand`'s mapping, as a lookup table.
+_STRAND_TEXT = {"+": "+", "-": "-", "*": "."}
+#: Rows formatted into one piece of text: large enough that per-piece
+#: overhead vanishes, small enough that the text of a big sample never
+#: has to exist at once.
+_ROWS_PER_CHUNK = 2048
 
 
 class BedFormat(RegionFormat):
@@ -152,6 +158,48 @@ class CustomBedFormat(RegionFormat):
             for definition, text in zip(self._schema, raw_values)
         )
         return GenomicRegion(chrom, left, right, strand, values)
+
+    def serialize(self, regions: ColumnRows | Iterable[GenomicRegion]) -> str:
+        """Serialise regions, or rows held as columns, to a document."""
+        if isinstance(regions, ColumnRows):
+            return "".join(self.column_chunks(regions))
+        return super().serialize(regions)
+
+    def serialize_sample(self, sample: Sample) -> Iterator[str]:
+        """A sample's document in pieces, from its column view
+        (:meth:`~repro.gdm.sample.Sample.columns`); rows of unequal
+        width, which have none, are formatted region by region."""
+        rows = sample.columns()
+        if rows is None:
+            return iter([super().serialize(sample.regions)])
+        return self.column_chunks(rows)
+
+    def column_chunks(self, rows: ColumnRows) -> Iterator[str]:
+        """The document of *rows*, :data:`_ROWS_PER_CHUNK` lines a piece.
+
+        Each piece is built a column at a time -- coordinates by ``str``
+        over the listed array, strands through :meth:`format_strand`'s
+        table, values through their type's
+        :meth:`~repro.gdm.schema.AttributeType.format_column` -- and its
+        bytes are those :meth:`format_region` gives row by row.
+        """
+        chroms = chain.from_iterable(
+            repeat(chrom, count) for chrom, count in rows.runs
+        )
+        typed = list(zip(self._schema.types, rows.values))
+        for start in range(0, len(rows), _ROWS_PER_CHUNK):
+            stop = start + _ROWS_PER_CHUNK
+            fields = zip(
+                list(islice(chroms, _ROWS_PER_CHUNK)),
+                map(str, rows.lefts[start:stop].tolist()),
+                map(str, rows.rights[start:stop].tolist()),
+                map(_STRAND_TEXT.__getitem__, rows.strands[start:stop]),
+                *(
+                    attr_type.format_column(listed(column[start:stop]))
+                    for attr_type, column in typed
+                ),
+            )
+            yield "\n".join(map("\t".join, fields)) + "\n"
 
     def format_region(self, region: GenomicRegion) -> str:
         fields = [

@@ -18,8 +18,11 @@ blocks and content digest are all answered from them, and its
 :class:`~repro.gdm.GenomicRegion` objects are built only when something
 asks for ``sample.regions`` -- an operator that reads region objects
 (JOIN's row gather, MAP's reference, region SELECT, the object
-operators) or a writer.  A sample file the column parse cannot convert
-is read line by line instead, with that parser's errors.
+operators).  A sample file the column parse cannot convert is read line
+by line instead, with that parser's errors.  :func:`write_dataset`
+writes each sample from its column view
+(:meth:`~repro.formats.bed.CustomBedFormat.serialize_sample`), so
+writing a result born as columns builds no region object either.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def parse_meta(source: str | IO[str]) -> Metadata:
     """Parse a ``.meta`` document into a :class:`Metadata` instance."""
     text = source if isinstance(source, str) else source.read()
     pairs = []
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    for line_number, line in enumerate(text_lines(text), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         if "\t" not in line:
@@ -49,6 +52,15 @@ def parse_meta(source: str | IO[str]) -> Metadata:
             raise FormatError(f"meta: line {line_number}: empty attribute")
         pairs.append((attribute, _parse_value(value)))
     return Metadata.from_pairs(pairs)
+
+
+def text_lines(text: str) -> list:
+    """The lines of a document the writers ended with ``"\\n"``, each
+    without a trailing ``"\\r"``.  Unlike ``str.splitlines``, no other
+    character (``"\\x0c"``, ``"\\u2028"``, ...) ends a line, so a value
+    holding one reads back as written."""
+    lines = text.split("\n")
+    return [line.rstrip("\r") for line in lines] if "\r" in text else lines
 
 
 def serialize_meta(meta: Metadata) -> str:
@@ -78,7 +90,7 @@ def write_dataset(dataset: Dataset, directory: str) -> None:
     for sample in dataset:
         base = os.path.join(directory, f"S_{sample.id:05d}.gdm")
         with open(base, "w") as handle:
-            handle.write(region_format.serialize(sample.regions))
+            handle.writelines(region_format.serialize_sample(sample))
         with open(base + ".meta", "w") as handle:
             handle.write(serialize_meta(sample.meta))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from itertools import chain, groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,6 +28,10 @@ from repro.gdm.metadata import Metadata
 from repro.gdm.region import GenomicRegion, check_region_columns
 
 _CHROM = attrgetter("chrom")
+_LEFT = attrgetter("left")
+_RIGHT = attrgetter("right")
+_STRAND = attrgetter("strand")
+_VALUES = attrgetter("values")
 
 
 def listed(column) -> list:
@@ -63,6 +67,40 @@ def chromosome_runs(regions: Iterable[GenomicRegion]) -> list:
     return [
         (chrom, len(list(run))) for chrom, run in groupby(map(_CHROM, regions))
     ]
+
+
+def _coordinates(regions, getter) -> np.ndarray:
+    """One coordinate of every region: int64, or an object array of
+    Python ints when one lies beyond int64 (the line parser keeps such
+    coordinates)."""
+    try:
+        return np.fromiter(map(getter, regions), np.int64, len(regions))
+    except OverflowError:
+        return np.array(list(map(getter, regions)), dtype=object)
+
+
+def region_list_columns(regions, extra: list = ()) -> ColumnRows | None:
+    """The rows of a region list as :class:`ColumnRows`, read one
+    attribute at a time, with *extra* value columns appended.
+
+    ``None`` when the regions' value tuples differ in width (possible
+    only with validation off): columns cannot hold such rows.
+    """
+    rows = list(map(_VALUES, regions))
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        return None
+    values = [
+        list(map(itemgetter(index), rows))
+        for index in range(max(widths, default=0))
+    ]
+    return ColumnRows(
+        chromosome_runs(regions),
+        _coordinates(regions, _LEFT),
+        _coordinates(regions, _RIGHT),
+        list(map(_STRAND, regions)),
+        values + list(extra),
+    )
 
 
 # -- samples born from columns --------------------------------------------------
@@ -280,6 +318,25 @@ class Sample:
         """The rows as the sample holds them, never materialised: its
         region list, or the :class:`RowSource` it was born from."""
         return self._regions
+
+    def columns(self) -> ColumnRows | None:
+        """The rows as one :class:`ColumnRows`, no region object built:
+        what the GDM writer and the disk result cache read.
+
+        A sample born as columns returns them as they are; MAP's rows
+        are its reference's columns plus the aggregate lists; a region
+        list is read one attribute at a time.  Nothing is kept, so each
+        call reads the rows afresh.  ``None`` for rows whose value
+        tuples differ in width (see :func:`region_list_columns`).
+        """
+        rows = self._regions
+        if isinstance(rows, ColumnRows):
+            return rows
+        if isinstance(rows, MapRows):
+            return region_list_columns(rows.reference, rows.columns)
+        if isinstance(rows, RowSource):
+            rows = rows.regions()
+        return region_list_columns(rows)
 
     # -- pickling: always the eager state -------------------------------------
 

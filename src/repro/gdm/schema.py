@@ -94,6 +94,14 @@ class AttributeType:
             return repr(float(value))
         return str(value)
 
+    def format_column(self, values: list) -> list:
+        """:meth:`format` over a whole column of values, in one pass."""
+        if self._pytype is float:
+            return [
+                "." if value is None else repr(float(value)) for value in values
+            ]
+        return ["." if value is None else str(value) for value in values]
+
     def __repr__(self) -> str:
         return f"AttributeType({self.name})"
 

@@ -50,7 +50,7 @@ def _serialise_sections(dataset: Dataset) -> tuple:
         meta_parts.append(f"#sample\t{sample.id}\n")
         meta_parts.append(serialize_meta(sample.meta))
         region_parts.append(f"#sample\t{sample.id}\n")
-        region_parts.append(region_format.serialize(sample.regions))
+        region_parts.extend(region_format.serialize_sample(sample))
     return "".join(meta_parts).encode(), "".join(region_parts).encode()
 
 

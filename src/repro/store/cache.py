@@ -15,23 +15,36 @@ metrics, ``repro explain --analyze`` and the server's ``/stats``.
 
 With a *directory* configured (``REPRO_RESULT_CACHE_DIR``, defaulting to
 ``<store root>/results`` when a persistent store root is active) every
-entry is additionally pickled to disk, so warm results survive process
-restarts: a fresh process misses in memory, loads the pickled dataset,
-and serves the hit without running a single kernel.  Content addressing
-makes the files immortal -- they are only ever rewritten with identical
-bytes -- and atomic rename keeps concurrent processes safe.
+entry is additionally written to disk, so warm results survive process
+restarts: a fresh process misses in memory, loads the entry, and serves
+the hit without running a single kernel.  A disk entry holds columns,
+not objects: the dataset's name, schema and provenance, and per sample
+its id, metadata and column view
+(:meth:`~repro.gdm.sample.Sample.columns`), pickled -- no region object
+is built to write it, and a load revives samples born as columns.
+Content addressing makes the files immortal -- they are only ever
+rewritten with identical bytes -- and atomic rename keeps concurrent
+processes safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
 import threading
 from collections import OrderedDict
 
+from repro.gdm import Dataset, Sample
+from repro.gdm.sample import ColumnRows
+
 #: Default number of cached operator results kept by the global cache.
 DEFAULT_CAPACITY = 64
+
+#: First field of a disk entry; a file holding anything else (an older
+#: layout, a foreign pickle) is a miss.
+_ENTRY_LAYOUT = "repro-result-columns-1"
 
 
 def cache_capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
@@ -92,6 +105,39 @@ def plan_token(obj) -> str:
     return repr(obj)
 
 
+def disk_entry(dataset) -> tuple | None:
+    """What the disk level stores of *dataset*: its name, schema and
+    provenance, and per sample the id, metadata and column state
+    ``(runs, lefts, rights, strands, values)``.  ``None`` for a value
+    that is not a dataset, or when some sample has no column view (rows
+    of unequal width)."""
+    if not isinstance(dataset, Dataset):
+        return None
+    samples = []
+    for sample in dataset:
+        rows = sample.columns()
+        if rows is None:
+            return None
+        samples.append((sample.id, sample.meta, rows.runs, rows.lefts,
+                        rows.rights, rows.strands, rows.values))
+    return (_ENTRY_LAYOUT, dataset.name, dataset.schema, dataset.provenance,
+            samples)
+
+
+def revive_entry(entry):
+    """The dataset a :func:`disk_entry` describes, its samples born as
+    columns; ``None`` for anything that is not such an entry."""
+    if not (isinstance(entry, tuple) and entry[:1] == (_ENTRY_LAYOUT,)):
+        return None
+    __, name, schema, provenance, samples = entry
+    dataset = Dataset(name, schema, [
+        Sample(sample_id, ColumnRows(*columns), meta)
+        for sample_id, meta, *columns in samples
+    ], validate=False)
+    dataset.provenance = provenance
+    return dataset
+
+
 def _instance_state(obj) -> dict | None:
     """Instance attributes of a value object, or ``None`` for exotica."""
     if hasattr(obj, "__dict__"):
@@ -107,10 +153,11 @@ def _instance_state(obj) -> dict | None:
 class ResultCache:
     """A size-bounded LRU of ``fingerprint -> Dataset`` entries.
 
-    With a *directory*, entries are also pickled to disk on ``put`` and
-    in-memory misses consult the files before giving up -- the second
-    cache level that survives restarts.  Memory eviction never removes
-    files (they back the next process's warm start); ``clear`` does.
+    With a *directory*, entries are also written to disk on ``put``
+    (:func:`disk_entry`) and in-memory misses consult the files before
+    giving up -- the second cache level that survives restarts.  Memory
+    eviction never removes files (they back the next process's warm
+    start); ``clear`` does.
 
     The cache is thread-safe: a long-lived query server runs many
     queries against one process-wide instance concurrently, and an
@@ -156,26 +203,38 @@ class ResultCache:
         """A disk entry for *key*, or ``None`` (corruption tolerated)."""
         if self.directory is None:
             return None
+        path = self._path(key)
         try:
-            with open(self._path(key), "rb") as handle:
-                return pickle.load(handle)
-        except Exception:
-            # Missing file is the common case; a truncated or
-            # unreadable one degrades to a recompute, never an error.
+            with open(path, "rb") as handle:
+                dataset = revive_entry(pickle.load(handle))
+        except FileNotFoundError:  # the common case
             return None
+        except Exception:
+            dataset = None
+        if dataset is None:
+            # A truncated, unreadable or older-layout file degrades to a
+            # recompute, never an error; dropping it lets the next put
+            # of this key write a current entry.
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        return dataset
 
     def _persist(self, key: str, value) -> None:
-        """Pickle *value* beside the store (atomic, best-effort)."""
+        """Write *value*'s :func:`disk_entry` beside the store (atomic,
+        best-effort; a value without one stays in memory only)."""
         if self.directory is None:
             return
         path = self._path(key)
         if os.path.exists(path):
             return
+        entry = disk_entry(value)
+        if entry is None:
+            return
         try:
             os.makedirs(self.directory, exist_ok=True)
             tmp = f"{path}.tmp-{os.getpid()}"
             with open(tmp, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
         except OSError:
             # Full disk or permission loss: the in-memory cache still

@@ -881,8 +881,18 @@ def _update_regions(h, regions, count: int) -> None:
 def _update_column_rows(h, rows: ColumnRows, count: int) -> None:
     """:func:`_update_regions` over a sample born as columns: the same
     bytes, read from the columns (their rows all have one width)."""
-    h.update(np.asarray(rows.lefts, dtype=np.int64).tobytes())
-    h.update(np.asarray(rows.rights, dtype=np.int64).tobytes())
+    try:
+        coordinates = (
+            np.asarray(rows.lefts, dtype=np.int64).tobytes(),
+            np.asarray(rows.rights, dtype=np.int64).tobytes(),
+        )
+    except OverflowError:  # a region list's column view beyond int64
+        coordinates = (";".join(
+            f"{left}-{right}"
+            for left, right in zip(rows.lefts.tolist(), rows.rights.tolist())
+        ).encode(),)
+    for piece in coordinates:
+        h.update(piece)
     runs = [(chrom, n) for chrom, n in rows.runs if n]
     h.update(",".join(
         ",".join([str(len(chrom))] * n) for chrom, n in runs

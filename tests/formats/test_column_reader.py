@@ -13,7 +13,8 @@ replaces:
   malformed file; a coordinate beyond int64 still loads;
 - reading, digesting and blocking a source builds no region object, and
   neither does a whole ``repro run`` of MAP COUNT or COVER over sources
-  on disk, except for the regions MAP's reference and the writer need.
+  on disk, written result and disk cache entry included, except for
+  MAP's reference regions.
 """
 
 import contextlib
@@ -335,6 +336,21 @@ def test_staged_sections_parse_as_columns():
         parse_staged_sections(meta, bad, "CHIP")
 
 
+@pytest.mark.parametrize("brk", ["\x0c", "\x85", "\u2028", "\u2029"])
+def test_staged_values_with_a_line_break_character_round_trip(brk):
+    schema = RegionSchema.of(("name", STR))
+    dataset = Dataset("D", schema, [
+        Sample(1, [GenomicRegion("chr1", 0, 5, "+", (f"a{brk}b",)),
+                   GenomicRegion("chr1", 7, 9, "*", ("c",))],
+               Metadata({"note": f"x{brk}y"})),
+        Sample(2, [GenomicRegion("chr2", 1, 2, "-", (None,))]),
+    ])
+    meta, regions = _serialise_sections(dataset)
+    staged = parse_staged_sections(meta, regions, "D")
+    assert list(staged.region_rows()) == list(dataset.region_rows())
+    assert [s.meta for s in staged] == [s.meta for s in dataset]
+
+
 # -- a repro run over sources on disk builds no source region -------------------
 
 
@@ -384,11 +400,11 @@ def test_repro_run_builds_no_encode_region(
         and sample.held_rows().built is None
         for sample in encode
     )
-    # What was built: the written result and MAP's reference, nothing else.
-    written = read_dataset(str(tmp_path / "out" / "R"), "R")
-    expected = written.region_count()
+    # What was built: MAP's reference, nothing else -- the disk result
+    # cache and the writer read the result's columns.
+    expected = 0
     if "MAP" in program:
-        expected += sum(
+        expected = sum(
             len(sample) for sample in read["ANNOTATIONS"]
             if sample.meta.matches("annType", "promoter")
         )

@@ -66,6 +66,29 @@ class TestDatasetDirectory:
         assert loaded[1].regions == dataset[1].regions
         assert loaded[2].meta.first("sex") == "female"
 
+    #: Characters ``str.splitlines`` breaks at besides ``\n`` and
+    #: ``\r``; the writers emit them verbatim inside values.
+    LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_meta_value_with_a_line_break_character_round_trips(
+        self, dataset, tmp_path, brk
+    ):
+        value = f"a{brk}b"
+        dataset = Dataset("PEAKS", dataset.schema, [
+            dataset[1].with_meta(Metadata({"note": value, "cell": "HeLa"})),
+        ])
+        write_dataset(dataset, str(tmp_path / "PEAKS"))
+        loaded = read_dataset(str(tmp_path / "PEAKS"))
+        assert loaded[1].meta == dataset[1].meta
+        assert loaded[1].meta.first("note") == value
+
+    def test_crlf_meta_file_reads(self, tmp_path):
+        assert parse_meta("cell\tHeLa\r\nreplicate\t2\r\n") == Metadata(
+            {"cell": "HeLa", "replicate": 2}
+        )
+
     def test_read_missing_schema_raises(self, tmp_path):
         with pytest.raises(FormatError):
             read_dataset(str(tmp_path))

@@ -248,6 +248,52 @@ class TestSpanTimerRule:
         )
 
 
+class TestRegionsReadRule:
+    SNIPPET = SNIPPET_DIR / "rl013_regions_read.py"
+    WRITERS = ("formats/meta.py", "repository/staging.py", "store/cache.py")
+
+    def scoped(self, tmp_path, monkeypatch) -> Path:
+        package = tmp_path / "src" / "repro"
+        rules = [
+            lint.Rule(rule.code, rule.summary, rule.check,
+                      only_under=tuple(package / m for m in self.WRITERS))
+            if rule.code == "RL013" else rule
+            for rule in lint.RULES
+        ]
+        monkeypatch.setattr(lint, "RULES", tuple(rules))
+        return package
+
+    @pytest.mark.parametrize("module", WRITERS)
+    def test_rl013_fires_in_the_result_writers(
+        self, tmp_path, monkeypatch, module
+    ):
+        path = self.scoped(tmp_path, monkeypatch) / module
+        path.parent.mkdir(parents=True)
+        path.write_text(self.SNIPPET.read_text())
+        problems = lint.check_file(path, {"RL013"}, root=tmp_path)
+        assert [p.line for p in problems] == [
+            line for __, line in expectations(self.SNIPPET)
+        ]
+
+    def test_rl013_leaves_other_modules_alone(self, tmp_path, monkeypatch):
+        """Operators, the row sources and the line-level format API
+        read region objects by definition."""
+        package = self.scoped(tmp_path, monkeypatch)
+        for module in ("formats/bed.py", "gdm/sample.py", "store/persist.py"):
+            path = package / module
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(self.SNIPPET.read_text())
+            assert lint.check_file(path, {"RL013"}, root=tmp_path) == []
+
+    def test_the_real_rule_is_scoped_to_the_three_writers(self):
+        (rule,) = [rule for rule in lint.RULES if rule.code == "RL013"]
+        package = lint.SRC_DIR / "repro"
+        for module in self.WRITERS:
+            assert rule.applies_to(package / module)
+        assert not rule.applies_to(package / "formats" / "bed.py")
+        assert not rule.applies_to(lint.SNIPPET_DIR / "rl009_region_mutation.py")
+
+
 class TestRuleSelection:
     def test_select_narrows_to_the_named_codes(self):
         assert lint.active_codes(select="RL001,RL007") == {"RL001", "RL007"}

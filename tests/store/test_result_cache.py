@@ -301,3 +301,122 @@ class TestDiskCache:
             )
         finally:
             set_store_root(None)
+
+
+class TestColumnEntries:
+    """Disk entries hold columns: a put builds no region object, and a
+    load revives samples born as columns."""
+
+    @staticmethod
+    def cover_result():
+        from repro.gdm import FLOAT, region as make_region
+
+        source = Dataset(
+            "B", RegionSchema.of(("score", FLOAT)),
+            [
+                Sample(1, [make_region("chr1", 0, 50, "+", 1.5),
+                           make_region("chr01", 10, 60, "*", float("nan")),
+                           make_region("chr1", 20, 90, "-", -0.0)],
+                       Metadata({"cell": "A"})),
+                Sample(2, [], Metadata({"cell": "B"})),
+            ],
+            validate=False,
+        )
+        return execute("R = COVER(1, ANY) B; MATERIALIZE R;", {"B": source},
+                       engine="columnar")["R"]
+
+    def test_put_materialises_no_row(self, tmp_path):
+        from repro.gdm.sample import RowSource
+        from repro.store import store_counters
+
+        dataset = self.cover_result()
+        assert all(isinstance(s.held_rows(), RowSource) for s in dataset)
+        cache = ResultCache(capacity=4, directory=str(tmp_path))
+        before = store_counters()["rows_materialised"]
+        cache.put("fp", dataset)
+        assert cache.disk_stores == 1
+        assert store_counters()["rows_materialised"] == before
+
+    def test_fresh_cache_loads_equal_rows_and_digest(self, tmp_path):
+        from repro.gdm import results_digest
+        from repro.gdm.sample import ColumnRows
+
+        for dataset in (self.cover_result(), make_dataset()):
+            directory = tmp_path / dataset.name
+            ResultCache(capacity=4, directory=str(directory)).put(
+                "fp", dataset
+            )
+            loaded = ResultCache(capacity=4, directory=str(directory)).get(
+                "fp"
+            )
+            assert all(isinstance(s.held_rows(), ColumnRows) for s in loaded)
+            assert list(map(repr, loaded.region_rows())) == list(
+                map(repr, dataset.region_rows())
+            )
+            assert results_digest({"R": loaded}) == results_digest(
+                {"R": dataset}
+            )
+            assert loaded.name == dataset.name
+            assert loaded.schema == dataset.schema
+            assert loaded.provenance == dataset.provenance
+            assert [s.meta for s in loaded] == [s.meta for s in dataset]
+
+    def test_coordinates_beyond_int64_round_trip(self, tmp_path):
+        huge = 2**63
+        dataset = Dataset("BIG", RegionSchema.empty(), [
+            Sample(1, [region("chr1", 5, 9), region("chr1", huge, huge + 3)]),
+        ], validate=False)
+        ResultCache(capacity=4, directory=str(tmp_path)).put("fp", dataset)
+        loaded = ResultCache(capacity=4, directory=str(tmp_path)).get("fp")
+        assert list(loaded.region_rows()) == list(dataset.region_rows())
+        assert loaded.store().digest() == dataset.store().digest()
+
+    def test_parent_layout_file_misses_and_is_rewritten(self, tmp_path):
+        import pickle
+
+        dataset = make_dataset()
+        cache = ResultCache(capacity=4, directory=str(tmp_path))
+        # The layout before column entries: the dataset object pickled.
+        with open(cache._path("fp"), "wb") as handle:
+            pickle.dump(dataset, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        fresh = ResultCache(capacity=4, directory=str(tmp_path))
+        assert fresh.get("fp") is None
+        assert fresh.misses == 1
+        fresh.put("fp", dataset)
+        assert fresh.disk_stores == 1
+        loaded = ResultCache(capacity=4, directory=str(tmp_path)).get("fp")
+        assert list(loaded.region_rows()) == list(dataset.region_rows())
+
+    @pytest.mark.parametrize("payload", [
+        ("repro-result-columns-0", "D"),
+        ("repro-result-columns-1",),
+        {"name": "D"},
+        [1, 2, 3],
+    ])
+    def test_foreign_pickles_miss_and_never_raise(self, tmp_path, payload):
+        import pickle
+
+        cache = ResultCache(capacity=4, directory=str(tmp_path))
+        with open(cache._path("fp"), "wb") as handle:
+            pickle.dump(payload, handle)
+        assert cache.get("fp") is None
+        assert cache.misses == 1
+
+    def test_a_value_that_is_not_a_dataset_stays_in_memory_only(
+        self, tmp_path
+    ):
+        cache = ResultCache(capacity=4, directory=str(tmp_path))
+        cache.put("fp", "A")
+        assert cache.disk_stores == 0
+        assert cache.get("fp") == "A"
+
+    def test_ragged_rows_stay_in_memory_only(self, tmp_path):
+        schema = RegionSchema.of(("a", "INT"))
+        dataset = Dataset("D", schema, [Sample(1, [
+            GenomicRegion("chr1", 0, 5, "*", (1,)),
+            GenomicRegion("chr1", 7, 9, "*", ()),
+        ])], validate=False)
+        cache = ResultCache(capacity=4, directory=str(tmp_path))
+        cache.put("fp", dataset)
+        assert cache.disk_stores == 0
+        assert cache.get("fp") is dataset

@@ -91,13 +91,34 @@ class TestRun:
             f"persistent store: {mapped} block set(s) mapped, {built} built,"
             in out
         )
-        # The disk result-cache write pickles the COVER result, which
-        # materialises its rows.
+        # The region SELECT reads ENCODE's region objects, which
+        # materialises the source rows born as columns.
         materialised = (
             after["rows_materialised"] - before["rows_materialised"]
         )
         assert materialised > 0
         assert f"rows materialised: {materialised}\n" in out
+
+    def test_cold_cover_run_materialises_no_row(self, capsys, tmp_path,
+                                                encode_dir):
+        """Sources read from disk, the COVER kernel, the disk result-cache
+        write and the GDM writer all work on columns."""
+        query = tmp_path / "cover.gmql"
+        query.write_text("C = COVER(1, ANY) ENCODE;\nMATERIALIZE C;\n")
+        store = tmp_path / "store"
+        code = main(
+            ["run", str(query), "--source", f"ENCODE={encode_dir}",
+             "--engine", "columnar", "--store-dir", str(store),
+             "--out", str(tmp_path / "out"), "--stats"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "C: 1 sample(s), 2 region(s)" in out
+        assert "rows materialised: 0\n" in out
+        assert os.listdir(store / "results")
+        assert (tmp_path / "out" / "C" / "S_00001.gdm").read_text() == (
+            "chr1\t0\t100\t.\t1\nchr1\t200\t300\t.\t1\n"
+        )
 
     def test_run_columnar_engine(self, capsys, encode_dir, program_file):
         code = main(
