@@ -300,6 +300,13 @@ def resolve_map_aggregates(aggregates, reference: Dataset,
     return reference.schema.extend(*new_defs), resolved
 
 
+def _emptied(values: list, counts: np.ndarray, empty) -> list:
+    """Per-group *values* with *empty* at every group of count 0."""
+    for i in np.flatnonzero(counts == 0).tolist():
+        values[i] = empty
+    return values
+
+
 def aggregate_segments(
     aggregate, type_name, column, e_rows: np.ndarray,
     ref_rows: np.ndarray, offsets: np.ndarray,
@@ -342,16 +349,14 @@ def aggregate_segments(
         if isinstance(aggregate, (Min, Max)) and clean:
             how = "min" if isinstance(aggregate, Min) else "max"
             reduced = segment_reduce(gathered, offsets, how)
-            cast = float if is_float else int
-            return [
-                cast(reduced[i]) if counts[i] else empty for i in range(n)
-            ]
+            return _emptied(reduced.tolist(), counts, empty)
         if isinstance(aggregate, (Sum, Avg)) and safe_int:
             sums = segment_reduce(gathered, offsets, "sum")
             if isinstance(aggregate, Sum):
-                return [
-                    int(sums[i]) if counts[i] else empty for i in range(n)
-                ]
+                return _emptied(sums.tolist(), counts, empty)
+            # Not one numpy division: ``int / int`` rounds the exact
+            # quotient, which float division does not once a sum passes
+            # 2**53.
             return [
                 int(sums[i]) / int(counts[i]) if counts[i] else empty
                 for i in range(n)
@@ -369,14 +374,13 @@ def aggregate_segments(
             # SUM/AVG/STD -- exactness without caring about pair order.
             sums = segment_fsum(gathered, offsets)
             if isinstance(aggregate, Sum):
-                return [
-                    float(sums[i]) if counts[i] else empty for i in range(n)
-                ]
+                return _emptied(sums.tolist(), counts, empty)
             if isinstance(aggregate, Avg):
-                return [
-                    float(sums[i]) / int(counts[i]) if counts[i] else empty
-                    for i in range(n)
-                ]
+                # float64 / float64(count) is ``float(s) / int(c)``: a
+                # count is exact as a float.
+                means = np.divide(sums, counts, out=np.zeros_like(sums),
+                                  where=counts > 0)
+                return _emptied(means.tolist(), counts, empty)
             means = sums / np.maximum(counts, 1)
             deviations = gathered - np.repeat(means, counts)
             with np.errstate(over="ignore", invalid="ignore"):

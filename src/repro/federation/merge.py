@@ -85,7 +85,7 @@ def _parse_region_lines(region_format: CustomBedFormat, lines: list):
     """One staged sample's region lines, as columns when they convert
     (:meth:`CustomBedFormat.column_rows`), else line by line -- which
     raises the line parser's own error."""
-    rows = region_format.column_rows(lines)
+    rows = region_format.column_rows("\n".join(lines))
     if rows is None:
         rows = [region_format.parse_line(line.split("\t")) for line in lines]
     return rows

@@ -8,7 +8,9 @@ a :class:`~repro.gdm.schema.RegionSchema`.
 
 from __future__ import annotations
 
+import re
 from itertools import chain, groupby, islice, repeat
+from operator import contains
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -22,6 +24,9 @@ from repro.gdm.sample import ColumnRows, Sample, listed
 _STRAND_FIELDS = {"+": "+", "-": "-", ".": "*", "*": "*", "": "*"}
 #: :meth:`RegionFormat.format_strand`'s mapping, as a lookup table.
 _STRAND_TEXT = {"+": "+", "-": "-", "*": "."}
+#: The ``"\r"``s ending a line or the document: what the line parser's
+#: ``rstrip("\r")`` removes.
+_TRAILING_CR = re.compile("\r+(?=\n|\\Z)")
 #: Rows formatted into one piece of text: large enough that per-piece
 #: overhead vanishes, small enough that the text of a big sample never
 #: has to exist at once.
@@ -90,42 +95,73 @@ class CustomBedFormat(RegionFormat):
 
         The rows come back as :class:`~repro.gdm.sample.ColumnRows` in
         file order (see :meth:`column_rows`), no region object built.
-        A document some column of which fails to convert goes through
-        :meth:`parse` instead, which raises its line-numbered error --
-        or, for coordinates beyond int64, returns its region list.
+        The document less its final newline (and each line's trailing
+        ``"\\r"``) is tried as it is, which is what
+        :func:`~repro.formats.meta.write_dataset` writes.  A blank line
+        fails that try and a comment line fails it or heads a
+        chromosome run, so only then is the document split into lines
+        and tried without them.  A whitespace-only line fails both and
+        reaches the line parser, which skips it.  A document some column
+        of which fails to convert goes through :meth:`parse` instead,
+        which raises its line-numbered error -- or, for coordinates
+        beyond int64, returns its region list.
         """
         text = source if isinstance(source, str) else source.read()
-        lines = text.split("\n")
         if "\r" in text:
-            lines = [line.rstrip("\r") for line in lines]
-        # Blank lines are dropped here; whitespace-only ones fail to
-        # convert below and reach the line parser, which skips them.
-        rows = self.column_rows([
-            line for line in lines
-            if line and not line.startswith(self.comment_prefixes)
-        ])
+            text = _TRAILING_CR.sub("", text)
+        body = text[:-1] if text.endswith("\n") else text
+        prefixes = self.comment_prefixes
+        rows = self.column_rows(body)
+        if rows is None or any(
+            chrom.startswith(prefixes) for chrom, __ in rows.runs
+        ):
+            rows = self.column_rows("\n".join([
+                line for line in body.split("\n")
+                if line and not line.startswith(prefixes)
+            ]))
         return self.parse(text) if rows is None else rows
 
-    def column_rows(self, lines: list) -> ColumnRows | None:
-        """Region *lines* (no comment or blank line) as columns, or ``None``.
+    def column_rows(self, body: str) -> ColumnRows | None:
+        """Region lines joined by ``"\\n"`` (no comment or blank line,
+        no final newline) as columns, or ``None``.
 
-        The fields are transposed and each column converted once:
-        coordinates with ``int`` into int64 arrays, strands through
-        :meth:`parse_strand`'s mapping, values through their type's
+        The body is split once on ``"\\t"`` into one flat list of
+        fields, so no per-line container is built.  With ``count`` lines
+        of ``width`` fields that list holds ``count * (width - 1) + 1``
+        pieces, and every piece at a multiple of ``width - 1`` is a
+        junction ``last\\nfirst`` of two consecutive lines.  The count
+        alone would let a short and a long line cancel out; the count
+        plus a newline in every junction holds only when every line has
+        *width* fields.  Each column is then a stride of the list (the
+        first and last from the junctions split once more on the
+        newline) and is converted once: coordinates with ``int`` into
+        int64 arrays, strands through :meth:`parse_strand`'s mapping,
+        values through their type's
         :meth:`~repro.gdm.schema.AttributeType.parse_column`, so every
         value is the one :meth:`parse_line` gives.  ``None`` when any
-        conversion fails: a ragged line, a bad strand, a non-integer or
-        beyond-int64 coordinate, a value or region the line parser
-        rejects -- the caller then parses line by line.
+        check or conversion fails: a ragged line, a bad strand, a
+        non-integer or beyond-int64 coordinate, a value or region the
+        line parser rejects -- the caller then parses line by line.
         """
-        width = 4 + len(self._schema)
-        fields = [line.split("\t") for line in lines]
-        if set(map(len, fields)) - {width}:
+        if not body:
+            return ColumnRows([], np.empty(0, np.int64),
+                              np.empty(0, np.int64), [],
+                              [[] for __ in self._schema])
+        step = 3 + len(self._schema)
+        count = body.count("\n") + 1
+        pieces = body.split("\t")
+        if len(pieces) != count * step + 1:
             return None
-        count = len(fields)
-        chroms, lefts, rights, strands, *values = (
-            zip(*fields) if fields else ((),) * width
+        junctions = pieces[step:-1:step]
+        if not all(map(contains, junctions, repeat("\n"))):
+            return None
+        # One newline per junction: ``last_0, first_1, last_1, ...``.
+        ends = "\n".join(junctions).split("\n") if junctions else []
+        chroms = [pieces[0], *ends[1::2]]
+        lefts, rights, *middle = (
+            pieces[column::step] for column in range(1, step)
         )
+        strands, *values = (*middle, [*ends[0::2], pieces[-1]])
         try:
             return ColumnRows(
                 [(chrom, len(list(run))) for chrom, run in groupby(chroms)],

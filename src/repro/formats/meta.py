@@ -69,15 +69,29 @@ def serialize_meta(meta: Metadata) -> str:
 
 
 def _parse_value(text: str):
-    """Best-effort typing of metadata values: int, then float, else str."""
+    """Best-effort typing of metadata values: int, then float, else str.
+
+    A value is a number only when writing that number gives back the
+    same text (``str`` of the int, ``repr`` of the float), so a string
+    ``int``/``float`` would also accept -- ``' 5'``, ``'1_000'``,
+    ``'1e3'`` -- stays the string :func:`serialize_meta` wrote.
+    ``'nan'`` and ``'inf'`` still read as floats: they are those
+    floats' own text.
+    """
     try:
-        return int(text)
+        number = int(text)
     except ValueError:
         pass
+    else:
+        if str(number) == text:
+            return number
     try:
-        return float(text)
+        number = float(text)
     except ValueError:
         pass
+    else:
+        if repr(number) == text:
+            return number
     return text
 
 
@@ -109,12 +123,14 @@ def read_dataset(directory: str, name: str | None = None) -> Dataset:
         if not match:
             continue
         sample_id = int(match.group(1))
-        with open(os.path.join(directory, entry)) as handle:
+        # ``newline=""``: a ``"\r"`` inside a value is not a line end;
+        # both parsers strip the ``"\r"`` of a CRLF line themselves.
+        with open(os.path.join(directory, entry), newline="") as handle:
             regions = region_format.parse_columns(handle)
         meta_path = os.path.join(directory, entry + ".meta")
         meta = Metadata()
         if os.path.exists(meta_path):
-            with open(meta_path) as handle:
+            with open(meta_path, newline="") as handle:
                 meta = parse_meta(handle)
         dataset.add_sample(Sample(sample_id, regions, meta), validate=False)
     return dataset

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import SchemaError
 
 #: Names of the fixed GDM attributes, reserved and present in every schema.
@@ -71,18 +73,25 @@ class AttributeType:
         field it would reject raises here too, though not always with
         its :class:`SchemaError` (``INT`` and ``FLOAT`` raise the
         conversion's ``ValueError``), so a caller wanting that message
-        re-parses field by field.
+        re-parses field by field.  ``INT`` and ``FLOAT`` first convert
+        the whole column; no missing token converts, so only a column
+        holding one (or a bad field) takes the per-field pass.
         """
         pytype = self._pytype
         if pytype is bool:
             return list(map(self.parse, texts))
         if pytype is str:  # ``str`` of a field is the field itself
             return [None if text in _MISSING_TOKENS else text for text in texts]
-        values = [
-            None if text in _MISSING_TOKENS else pytype(text) for text in texts
-        ]
-        if pytype is float:
-            # NaN is the one float unequal to itself; parse maps it to None.
+        try:
+            values = list(map(pytype, texts))
+        except ValueError:
+            values = [
+                None if text in _MISSING_TOKENS else pytype(text)
+                for text in texts
+            ]
+        if pytype is float and np.isnan(np.array(values, np.float64)).any():
+            # NaN is the one float unequal to itself; parse maps it to
+            # None (a None already there reads as NaN and stays None).
             return [None if value != value else value for value in values]
         return values
 

@@ -800,9 +800,20 @@ def depth_segments(
                    depth)
 
 
+#: ``str(n)`` for the string lengths :func:`_update_strings` meets most.
+_LENGTH_TEXT = tuple(map(str, range(256)))
+
+
 def _update_strings(h, strings: list) -> None:
-    """Hash a string list injectively: lengths first, then the bodies."""
-    h.update(",".join(map(str, map(len, strings))).encode())
+    """Hash a string list injectively: lengths first, then the bodies.
+
+    A length is written through :data:`_LENGTH_TEXT`, or with ``str``
+    when some string is longer than that table -- the same bytes."""
+    try:
+        lengths = ",".join(map(_LENGTH_TEXT.__getitem__, map(len, strings)))
+    except IndexError:
+        lengths = ",".join(map(str, map(len, strings)))
+    h.update(lengths.encode())
     h.update(";".encode())
     h.update("".join(strings).encode())
 

@@ -268,8 +268,10 @@ def persist_store(store) -> Path | None:
             ],
             "samples": samples,
         }
+        # ``dumps``, not ``dump``: only the one-shot call runs the C
+        # encoder.  The bytes are the same.
         with open(tmp / MANIFEST_NAME, "w") as handle:
-            json.dump(manifest, handle, sort_keys=True)
+            handle.write(json.dumps(manifest, sort_keys=True))
         try:
             os.rename(tmp, final)
         except OSError:

@@ -8,11 +8,14 @@ Values are compared through ``repr``, which distinguishes ``-0.0`` from
 ``0.0``, ``1`` from ``1.0``, and treats NaN as equal to itself.
 """
 
+import math
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine.columnar import aggregate_segments
 from repro.engine.context import ExecutionContext
 from repro.gdm import (
     Dataset,
@@ -22,7 +25,10 @@ from repro.gdm import (
     RegionSchema,
     Sample,
 )
+from repro.gmql.aggregates import Avg, Max, Min, Sum
 from repro.gmql.lang import execute
+from repro.store.columnar import ValueColumn
+from repro.store.join_kernels import group_offsets
 
 BIN = 64
 
@@ -151,3 +157,40 @@ class TestParallelFloatAggregates:
         # worker returns; pickle-vs-segment shipping of those kernels is
         # covered by test_executor_differential.py.
         assert bitwise(run(dataset, "parallel")) == expected
+
+
+# -- the vector emit of aggregate_segments ----------------------------------
+
+
+_GROUP_FLOATS = st.one_of(
+    st.sampled_from([v for v in _NASTY_FLOATS if v == v]),
+    st.floats(width=64, allow_nan=False, allow_infinity=False,
+              min_value=-1e300, max_value=1e300),
+)
+
+
+@given(st.lists(st.lists(_GROUP_FLOATS, max_size=6), min_size=1,
+                max_size=12))
+@settings(max_examples=150, deadline=None)
+def test_float_avg_emit_is_per_group_fsum_over_count(groups):
+    """The emitted AVG (and SUM, MIN, MAX) of each group is, bit for bit,
+    what the naive definition computes over that group alone: empty
+    groups give the aggregate's empty value."""
+    values = [value for group in groups for value in group]
+    ref_rows = np.repeat(np.arange(len(groups), dtype=np.int64),
+                         [len(group) for group in groups])
+    offsets = group_offsets(ref_rows, len(groups))
+    e_rows = np.arange(len(values), dtype=np.int64)
+    expected = {
+        Avg: [math.fsum(g) / len(g) if g else None for g in groups],
+        Sum: [math.fsum(g) if g else None for g in groups],
+        Min: [min(g) if g else None for g in groups],
+        Max: [max(g) if g else None for g in groups],
+    }
+    for aggregate, wanted in expected.items():
+        emitted = aggregate_segments(
+            aggregate(), "FLOAT", ValueColumn(values), e_rows, ref_rows,
+            offsets,
+        )
+        assert list(map(repr, emitted)) == list(map(repr, wanted))
+        assert all(type(v) is float for v in emitted if v is not None)

@@ -304,6 +304,75 @@ def test_malformed_file_raises_the_line_parsers_error(
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("schema_text, lines, message", [
+    # A short line and a long one with as many tabs between them as two
+    # good lines: the field count of the document is right, only the
+    # junction check sees the lines are not.
+    (SCHEMA_TEXT, ["chr1\t10\t20\t+\t1.5", "chr1\t10\t20\t+\t1.5\t3\t9"],
+     "gdm: line 3: 3 variable fields for 2-attribute schema"),
+    (SCHEMA_TEXT, ["chr1\t10\t20\t+\t1.5\t3\t9", "chr1\t10\t20\t+\t1.5"],
+     "gdm: line 2: 3 variable fields for 2-attribute schema"),
+    (SCHEMA_TEXT, ["chr1\t10\t20", "chr1\t10\t20\t+\t1.5\t3\t9\t9\t9"],
+     "gdm: line 2: expected at least 4 fields, got 3"),
+    ("\n", ["chr1\t10\t20", "chr1\t10\t20\t+\tx"],
+     "gdm: line 2: expected at least 4 fields, got 3"),
+    ("\n", ["chr1\t10\t20\t+\tx", "chr1\t10\t20"],
+     "gdm: line 2: 1 variable fields for 0-attribute schema"),
+    ("name:STR\n", ["chr1\t1\t2\t+", "chr1\t1\t2\t+\ta\tb"],
+     "gdm: line 3: 2 variable fields for 1-attribute schema"),
+    # The line after the short one starts with an empty field, so the
+    # newline lands in a coordinate piece ("1\n", which int() reads)
+    # and every strided column converts: only the junction check
+    # stops the parse.
+    ("\n", ["chr1\t1", "\t2\t+\t5\t6\t-"],
+     "gdm: line 2: expected at least 4 fields, got 2"),
+])
+def test_lines_whose_field_counts_cancel_out_raise_the_line_parsers_error(
+    tmp_path, schema_text, lines, message
+):
+    directory = tmp_path / "D"
+    directory.mkdir()
+    (directory / "schema.txt").write_text(schema_text)
+    schema = schema_from_header(schema_text)
+    good = "\t".join(["chr1", "10", "20", "+"] + ["1"] * len(schema))
+    (directory / "S_00001.gdm").write_text(
+        "\n".join([good, *lines]) + "\n"
+    )
+    body = "\n".join([good, *lines])
+    width = 4 + len(schema)
+    assert len(body.split("\t")) == body.count("\n") * (width - 1) + width
+    assert CustomBedFormat(schema).column_rows(body) is None
+    for read in (read_dataset, read_by_lines):
+        with pytest.raises(FormatError) as raised:
+            read(str(directory), "D")
+        assert type(raised.value) is FormatError
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("schema, text", [
+    (RegionSchema.of(("s", FLOAT), ("n", INT)), "chr1\t10\t20\t+\t1.5\t3\n"),
+    (RegionSchema.of(("s", FLOAT), ("n", INT)), "chr1\t10\t20\t+\t1.5\t3"),
+    (RegionSchema.empty(), "chr2\t5\t9\t-\n"),
+    (RegionSchema.empty(), "chr1\t1\t2\t+\nchr1\t3\t4\t.\nchr2\t0\t1\t-\n"),
+    (RegionSchema.of(("s", FLOAT), ("n", INT), ("t", STR), ("b", BOOL)),
+     "chr1\t1\t2\t+\t.\tNA\tNULL\t\nchr1\t3\t4\t-\tnull\t.\t\tNA\n"
+     "chr2\t0\t1\t*\tNA\t\t.\t.\n"),
+    # Comment lines with as many fields as a region line: they convert,
+    # so only their chromosome runs' names give them away.
+    (RegionSchema.empty(),
+     "#chr1\t1\t2\t+\nchr1\t3\t4\t-\ntrack x\t5\t6\t+\nchr1\t7\t8\t.\n"),
+], ids=["single_line", "single_line_no_newline", "no_values_single_line",
+        "no_values", "only_missing_tokens", "full_width_comment_lines"])
+def test_edge_documents_parse_as_the_line_parser_does(schema, text):
+    region_format = CustomBedFormat(schema)
+    rows = region_format.parse_columns(text)
+    assert isinstance(rows, ColumnRows)
+    assert len(rows.values) == len(schema)
+    assert repr(list(Sample(1, rows).rows())) == repr(
+        list(Sample(1, region_format.parse(text)).rows())
+    )
+
+
 def test_coordinate_beyond_int64_still_loads(tmp_path):
     directory = tmp_path / "D"
     directory.mkdir()

@@ -15,7 +15,9 @@ from repro.formats import (
     write_dataset,
 )
 from repro.formats.base import RegionFormat
-from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
+from repro.gdm import (
+    Dataset, FLOAT, Metadata, RegionSchema, Sample, STR, region,
+)
 
 
 class TestMetaFiles:
@@ -41,6 +43,33 @@ class TestMetaFiles:
     def test_round_trip(self):
         meta = Metadata({"cell": "HeLa", "replicate": 2})
         assert parse_meta(serialize_meta(meta)) == meta
+
+    @pytest.mark.parametrize("text, value", [
+        ("5", 5), ("-12", -12), ("0.25", 0.25), ("-0.0", -0.0),
+        ("1e-05", 1e-05), ("1e+300", 1e300),
+        # int() and float() accept these, but no number is written so.
+        (" 5", " 5"), ("5 ", "5 "), ("1_000", "1_000"), ("+5", "+5"),
+        ("05", "05"), ("-0", "-0"), ("1e3", "1e3"), ("1.", "1."),
+        ("0.250", "0.250"), ("NaN", "NaN"), ("Infinity", "Infinity"),
+    ])
+    def test_a_value_is_a_number_only_as_that_number_is_written(
+        self, text, value
+    ):
+        parsed = parse_meta(f"x\t{text}\n").first("x")
+        assert type(parsed) is type(value)
+        assert repr(parsed) == repr(value)
+
+    def test_nan_and_inf_still_read_as_floats(self):
+        meta = parse_meta("a\tnan\nb\tinf\nc\t-inf\n")
+        assert repr(meta.first("a")) == "nan"
+        assert meta.first("b") == float("inf")
+        assert meta.first("c") == float("-inf")
+
+    def test_string_values_int_and_float_would_accept_round_trip(self):
+        meta = Metadata({"a": " 5", "b": "1_000", "c": "1e3", "d": "+5",
+                         "e": 7, "f": 0.1})
+        loaded = parse_meta(serialize_meta(meta))
+        assert sorted(map(repr, loaded)) == sorted(map(repr, meta))
 
 
 class TestDatasetDirectory:
@@ -83,6 +112,32 @@ class TestDatasetDirectory:
         loaded = read_dataset(str(tmp_path / "PEAKS"))
         assert loaded[1].meta == dataset[1].meta
         assert loaded[1].meta.first("note") == value
+
+    def test_carriage_return_inside_values_round_trips(self, tmp_path):
+        schema = RegionSchema.of(("name", STR))
+        dataset = Dataset("D", schema, [
+            Sample(1, [region("chr1", 0, 10, "+", "x\ry"),
+                       region("chr1", 20, 30, "-", "\rz")],
+                   Metadata({"note": "a\rb", "cell": "HeLa"})),
+        ])
+        write_dataset(dataset, str(tmp_path / "D"))
+        loaded = read_dataset(str(tmp_path / "D"))
+        assert list(loaded.region_rows()) == list(dataset.region_rows())
+        assert loaded[1].meta == dataset[1].meta
+        assert loaded[1].meta.first("note") == "a\rb"
+
+    def test_crlf_dataset_directory_reads_as_lf(self, dataset, tmp_path):
+        write_dataset(dataset, str(tmp_path / "LF"))
+        (tmp_path / "CRLF").mkdir()
+        for path in (tmp_path / "LF").iterdir():
+            (tmp_path / "CRLF" / path.name).write_bytes(
+                path.read_bytes().replace(b"\n", b"\r\n")
+            )
+        lf = read_dataset(str(tmp_path / "LF"), "D")
+        crlf = read_dataset(str(tmp_path / "CRLF"), "D")
+        assert list(crlf.region_rows()) == list(lf.region_rows())
+        assert [s.meta for s in crlf] == [s.meta for s in lf]
+        assert crlf.store().digest() == lf.store().digest()
 
     def test_crlf_meta_file_reads(self, tmp_path):
         assert parse_meta("cell\tHeLa\r\nreplicate\t2\r\n") == Metadata(

@@ -12,8 +12,17 @@ the golden value here, and accept that on-disk stores rebuild).
 
 from pathlib import Path
 
-from repro.formats import read_dataset
-from repro.gdm import Dataset
+from repro.formats import read_dataset, write_dataset
+from repro.gdm import (
+    FLOAT,
+    STR,
+    Dataset,
+    GenomicRegion,
+    Metadata,
+    RegionSchema,
+    Sample,
+)
+from repro.store import columnar
 
 EXAMPLE = str(
     Path(__file__).resolve().parents[2] / "examples" / "data" / "CHIP"
@@ -48,3 +57,31 @@ def test_digest_changes_with_content():
         dataset.name, dataset.schema, samples[:-1], validate=False
     )
     assert truncated.store().digest() != GOLDEN_DIGEST
+
+
+#: The digest of :func:`long_strings`, whose STR values are as long as
+#: the store's table of length texts and longer: they take the ``str``
+#: fallback, which must write the same bytes.
+LONG_STRINGS_DIGEST = "dc811c6f2d11f516f1f6b67f61187721"
+
+
+def long_strings() -> Dataset:
+    table = len(columnar._LENGTH_TEXT)
+    schema = RegionSchema.of(("name", STR), ("score", FLOAT))
+    return Dataset("LONG", schema, [
+        Sample(1, [GenomicRegion("chr1", 0, 10, "+", ("x" * (table - 1), 1.5)),
+                   GenomicRegion("chr1", 5, 20, "-", ("y" * table, 2.5)),
+                   GenomicRegion("chr2", 1, 3, "*", ("é" * 1000, 0.0))],
+               Metadata({"n": 1})),
+        Sample(2, [GenomicRegion("chr1", 7, 9, "+", ("z", -1.0))]),
+    ])
+
+
+def test_strings_past_the_length_table_digest_is_pinned(tmp_path):
+    dataset = long_strings()
+    assert len(columnar._LENGTH_TEXT) == 256
+    assert dataset.store().digest() == LONG_STRINGS_DIGEST
+    write_dataset(dataset, str(tmp_path / "LONG"))
+    assert read_dataset(str(tmp_path / "LONG")).store().digest() == (
+        LONG_STRINGS_DIGEST
+    )

@@ -150,6 +150,15 @@ class TestPersistRoundTrip:
         assert persist_store(other) == final
         assert (final / SEGMENTS_NAME).stat().st_mtime_ns == before
 
+    def test_manifest_is_the_sorted_one_shot_json_text(self, tmp_path):
+        store = DatasetStore(
+            make_dataset(), BIN, root=str(tmp_path), sync=True
+        )
+        store.union_blocks()
+        final = store_directory(tmp_path, store.digest(), BIN)
+        text = (final / MANIFEST_NAME).read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True)
+
     def test_manifest_lists_every_column(self, tmp_path):
         store = DatasetStore(
             make_dataset(), BIN, root=str(tmp_path), sync=True
