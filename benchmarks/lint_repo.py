@@ -29,7 +29,7 @@ RL010     ``sort``/``sorted`` keyed on ``GenomicRegion.sort_key``
           delegates to ``gmql/operators``, which may sort objects)
 RL011     ``GenomicRegion(...)`` or ``.with_values(...)`` call in
           ``src/repro/engine/columnar.py`` (its outputs are born as
-          columns; rows are built only by the row sources'
+          columns; rows are built only by ``ColumnRows``'
           materialisation in ``repro.gdm.sample``)
 RL012     ``perf_counter`` import under ``src/repro/engine`` or
           ``src/repro/gmql`` outside ``engine/context.py`` (the
@@ -293,7 +293,7 @@ def _check_columnar_region_build(rel, node, enclosing):
         yield (
             node.lineno,
             "region object built in the columnar engine -- hand "
-            "build_result a row source (repro.gdm.sample) and let "
+            "build_result ColumnRows (repro.gdm.sample) and let "
             "sample.regions materialise on demand",
         )
 

@@ -39,18 +39,21 @@ rebuilding coordinate arrays from region objects on every operator:
   zone-disjoint partitions;
 * **SELECT** -- region predicates over fixed coordinates and numeric
   variable attributes evaluate as boolean array expressions over the
-  region list's memoised columns (:func:`repro.store.region_column`,
+  operand's memoised value columns (:func:`repro.store.region_column`,
   the same columns MAP aggregates read), and conjunctive coordinate
-  bounds prune whole chromosomes via the zone map.
+  bounds prune whole chromosomes via the zone map; the kept rows are
+  taken from the operand's column view (``ColumnRows.take``).
 
-Array building lives in :mod:`repro.store` only.  Each operator plans
-in the calling process -- sample pairing, zone-map and dead-bin pruning,
-output schema -- and hands every (unit, chromosome) piece of pure array
-work to :meth:`ColumnarBackend.submit_kernel`; whichever executor ran
-the pieces, COVER, MAP and JOIN samples are *born from* the returned
-arrays (:class:`~repro.gdm.sample.RowSource`): their rows are read from
-the columns, and region objects are built only if something asks for
-``sample.regions``.
+Operands are read through their samples' column views
+(:meth:`~repro.gdm.sample.Sample.columns`) only, so one holding ragged
+rows runs on the naive kernels (:func:`has_ragged_rows`).  Array
+building lives in :mod:`repro.store` only.  Each operator plans in the
+calling process -- sample pairing, zone-map and dead-bin pruning, output
+schema -- and hands every (unit, chromosome) piece of pure array work to
+:meth:`ColumnarBackend.submit_kernel`; whichever executor ran the
+pieces, every output sample is *born as columns*
+(:class:`~repro.gdm.sample.ColumnRows`), and region objects are built
+only if something asks for ``sample.regions``.
 This backend runs the pieces inline;
 :class:`~repro.engine.parallel.ParallelBackend` overrides that one
 method to run them on a process pool.  Metadata-centric operators fall
@@ -62,12 +65,12 @@ encodings share their front end.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
+from itertools import repeat
 
 import numpy as np
 
 from repro.gdm import Dataset
-from repro.gdm.sample import ColumnRows, MapRows
+from repro.gdm.sample import ColumnRows, listed, take_column
 from repro.intervals.coverage import CoverageSegment
 from repro.engine.naive import NaiveBackend
 from repro.gmql.aggregates import Avg, Bag, Count, Max, Median, Min, Std, Sum
@@ -188,30 +191,39 @@ def _chrom_provably_empty(conjuncts: list, entry) -> bool:
     return False
 
 
-def _vectorise_predicate(predicate, schema, regions: list):
+def has_ragged_rows(*datasets) -> bool:
+    """Whether some sample of *datasets* has no column view (value tuples
+    of unequal width, possible only with validation off): the one check
+    that sends a columnar operator to the naive kernels."""
+    return any(
+        sample.columns() is None for dataset in datasets for sample in dataset
+    )
+
+
+def _vectorise_predicate(predicate, schema, rows):
     """Evaluate a region predicate as a boolean numpy array, or ``None``.
 
     Handles conjunction/disjunction/negation over comparisons on fixed
     coordinates and numeric variable attributes; anything else returns
     ``None`` and the caller falls back to per-region evaluation.
     Attribute columns come from :func:`repro.store.region_column`, so a
-    predicate over a resident region list reuses the arrays every earlier
-    predicate or MAP aggregate built from it.
+    predicate over resident rows reuses the arrays every earlier
+    predicate or MAP aggregate built from them.
     """
-    if not regions:
+    if not len(rows):
         return np.zeros(0, dtype=bool)
 
     def column(name: str):
         if name in ("left", "start"):
-            return region_column(regions, "left").exact("INT")
+            return region_column(rows, "left").exact("INT")
         if name in ("right", "stop"):
-            return region_column(regions, "right").exact("INT")
+            return region_column(rows, "right").exact("INT")
         if name in ("chrom", "chr", "strand"):
             field = "strand" if name == "strand" else "chrom"
-            return region_column(regions, field).strings()
+            return region_column(rows, field).strings()
         if name not in schema:
             return None
-        values = region_column(regions, schema.index_of(name))
+        values = region_column(rows, schema.index_of(name))
         if schema[name].type.name in ("INT", "FLOAT"):
             return values.floats()
         return values.strings()
@@ -484,7 +496,6 @@ def pair_group_columns(
 #: Strand symbol of each :data:`repro.store.STRAND_CODES` code (``-1``
 #: indexes from the end).
 _STRAND_SYMBOLS = np.array(["*", "+", "-"], dtype=object)
-_VALUES = attrgetter("values")
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
 
@@ -500,6 +511,15 @@ def cover_source(pieces: list) -> ColumnRows:
     return ColumnRows(
         [(piece[0], piece[1].size) for piece in pieces],
         lefts, rights, ["*"] * lefts.size, [depths],
+    )
+
+
+def map_source(reference: ColumnRows, columns: list) -> ColumnRows:
+    """A MAP sample's rows: the reference's column view, shared, with
+    one value column per aggregate appended."""
+    return ColumnRows(
+        reference.runs, reference.lefts, reference.rights,
+        reference.strands, [*reference.values, *columns],
     )
 
 
@@ -546,7 +566,7 @@ def join_strands(output: str, a_strands, e_strands):
 
 
 def join_rows(
-    merged, output: str, tasks, anchor_regions, exp_regions
+    merged, output: str, tasks, anchor: ColumnRows, experiment: ColumnRows
 ) -> ColumnRows | list:
     """One sample pair's JOIN output, as columns in genome order.
 
@@ -557,9 +577,9 @@ def join_rows(
     which reproduces the naive operator's genome-order sort tie for
     tie: the naive operator enumerates anchor by anchor, each anchor's
     candidates in kernel order, so rows with equal keys are ranked by
-    anchor position and then by piece order.  The value columns are
-    laid out from the paired regions' values by
-    :meth:`~repro.gdm.schema.MergedSchema.combine_columns`, with the
+    anchor position and then by piece order.  The value columns of the
+    column views *anchor* and *experiment* are gathered by row and laid
+    out by :meth:`~repro.gdm.schema.MergedSchema.combine_columns`, with the
     distance last; the sample is born from these columns
     (:class:`~repro.gdm.sample.ColumnRows`), no region is built here.
     """
@@ -596,11 +616,11 @@ def join_rows(
         chromosome_ranks(chroms)[chrom_ids], lefts, rights, strands,
         ties=a_index,
     )
+    a_index, e_index = a_index[order], e_index[order]
     values = merged.combine_columns(
-        list(map(_VALUES, map(anchor_regions.__getitem__,
-                              a_index[order].tolist()))),
-        list(map(_VALUES, map(exp_regions.__getitem__,
-                              e_index[order].tolist()))),
+        [listed(take_column(column, a_index)) for column in anchor.values],
+        [listed(take_column(column, e_index))
+         for column in experiment.values],
     )
     return ColumnRows(
         _runs(chroms, chrom_ids[order]), lefts[order], rights[order],
@@ -668,7 +688,8 @@ class ColumnarBackend(NaiveBackend):
     # -- SELECT ----------------------------------------------------------------
 
     def run_select(self, plan, child: Dataset, semijoin_data):
-        if plan.region_predicate is None:
+        predicate = plan.region_predicate
+        if predicate is not None and has_ragged_rows(child):
             return super().run_select(plan, child, semijoin_data)
 
         def kernel():
@@ -679,8 +700,7 @@ class ColumnarBackend(NaiveBackend):
                 semijoin = SemiJoin(
                     plan.semijoin_attributes, semijoin_data, plan.semijoin_negated
                 )
-            store = self.dataset_store(child)
-            conjuncts = _conjuncts(plan.region_predicate)
+            store = None if predicate is None else self.dataset_store(child)
 
             def parts():
                 for sample in child:
@@ -690,52 +710,57 @@ class ColumnarBackend(NaiveBackend):
                         continue
                     if semijoin is not None and not semijoin.admits(sample):
                         continue
-                    blocks = store.blocks(sample)
-                    live = None
-                    if sample.regions:
-                        dead_positions = []
-                        pruned = 0
-                        for chrom, entry in blocks.zone_map.entries.items():
-                            if _chrom_provably_empty(conjuncts, entry):
-                                pruned += entry.partitions
-                                dead_positions.append(
-                                    blocks.chroms[chrom].index
-                                )
-                        if dead_positions:
-                            self.note_pruned(pruned)
-                            live = np.ones(blocks.n_regions, dtype=bool)
-                            live[np.concatenate(dead_positions)] = False
-                            if not live.any():
-                                yield ([], sample.meta,
-                                       [(child.name, sample.id)])
-                                continue
-                    mask = _vectorise_predicate(
-                        plan.region_predicate, child.schema, sample.regions
-                    )
-                    if mask is None:
-                        bound = plan.region_predicate.bind(child.schema)
-                        if live is None:
-                            regions = [r for r in sample.regions if bound(r)]
-                        else:
-                            regions = [
-                                r
-                                for r, keep in zip(sample.regions, live)
-                                if keep and bound(r)
-                            ]
-                    else:
-                        if live is not None:
-                            mask = mask & live
-                        regions = [
-                            r for r, keep in zip(sample.regions, mask) if keep
-                        ]
-                    yield (regions, sample.meta, [(child.name, sample.id)])
+                    rows = sample.held_rows()
+                    if predicate is not None:
+                        rows = sample.columns().take(self._region_mask(
+                            predicate, child.schema, store, sample
+                        ))
+                    yield (rows, sample.meta, [(child.name, sample.id)])
 
+            # A metadata-only SELECT passes rows through as the naive
+            # operator does, and is described as that operator does.
+            described = [
+                name for name, part in (("meta", plan.meta_predicate),
+                                        ("semijoin", semijoin))
+                if part is not None
+            ]
             return build_result(
                 "SELECT", f"SELECT({child.name})", child.schema, parts(),
-                parameters="columnar",
+                parameters="columnar" if predicate is not None
+                else "+".join(described) or "all",
             )
 
         return self.checked("SELECT", kernel)
+
+    def _region_mask(self, predicate, schema, store, sample) -> np.ndarray:
+        """The rows of *sample* a region *predicate* keeps, as a mask;
+        chromosomes the zone map proves empty are never evaluated."""
+        rows = sample.held_rows()
+        blocks = store.blocks(sample)
+        live = None
+        if len(rows):
+            conjuncts = _conjuncts(predicate)
+            dead_positions = []
+            pruned = 0
+            for chrom, entry in blocks.zone_map.entries.items():
+                if _chrom_provably_empty(conjuncts, entry):
+                    pruned += entry.partitions
+                    dead_positions.append(blocks.chroms[chrom].index)
+            if dead_positions:
+                self.note_pruned(pruned)
+                live = np.ones(blocks.n_regions, dtype=bool)
+                live[np.concatenate(dead_positions)] = False
+                if not live.any():
+                    return live
+        mask = _vectorise_predicate(predicate, schema, rows)
+        if mask is None:
+            bound = predicate.bind(schema)
+            keeps = repeat(True) if live is None else live.tolist()
+            return np.array([
+                bool(keep and bound(region))
+                for region, keep in zip(sample.regions, keeps)
+            ], dtype=bool)
+        return mask if live is None else mask & live
 
     # -- MAP ---------------------------------------------------------------------
 
@@ -745,7 +770,7 @@ class ColumnarBackend(NaiveBackend):
             isinstance(aggregate, Count) and attribute is None
             for aggregate, attribute in aggregates.values()
         )
-        if not only_counts and any(
+        if has_ragged_rows(reference, experiment) or not only_counts and any(
             attribute is None and not isinstance(aggregate, Count)
             for aggregate, attribute in aggregates.values()
         ):
@@ -788,12 +813,13 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for (ref_sample, exp_sample), tasks in zip(pairs, planned):
-                    ref_regions = ref_sample.regions
-                    counts = np.zeros(len(ref_regions), dtype=np.int64)
+                    counts = np.zeros(len(ref_sample), dtype=np.int64)
                     for index, task in tasks:
                         counts[index] = task.result()
                     yield (
-                        MapRows(ref_regions, [counts.tolist()] * width),
+                        map_source(
+                            ref_sample.columns(), [counts.tolist()] * width
+                        ),
                         merged_metadata(ref_sample, exp_sample),
                         [
                             (reference.name, ref_sample.id),
@@ -842,13 +868,12 @@ class ColumnarBackend(NaiveBackend):
                 for (ref_sample, exp_sample), tasks in zip(pairs, planned):
                     columns = {
                         attr_index: region_column(
-                            exp_sample.regions, attr_index
+                            exp_sample.held_rows(), attr_index
                         )
                         for __, attr_index, ___ in resolved
                         if attr_index is not None
                     }
-                    ref_regions = ref_sample.regions
-                    values = [[empty] * len(ref_regions) for empty in empties]
+                    values = [[empty] * len(ref_sample) for empty in empties]
                     for block, exp_block, task in tasks:
                         ref_rows, e_pos = task.result()
                         columns_out = pair_group_columns(
@@ -860,7 +885,7 @@ class ColumnarBackend(NaiveBackend):
                             for position, value in zip(positions, part):
                                 full[position] = value
                     yield (
-                        MapRows(ref_regions, values),
+                        map_source(ref_sample.columns(), values),
                         merged_metadata(ref_sample, exp_sample),
                         [
                             (reference.name, ref_sample.id),
@@ -881,6 +906,9 @@ class ColumnarBackend(NaiveBackend):
     # -- COVER --------------------------------------------------------------------
 
     def run_cover(self, plan, child: Dataset):
+        if has_ragged_rows(child):
+            return super().run_cover(plan, child)
+
         def kernel():
             from repro.gdm import AttributeDef, INT, RegionSchema
 
@@ -933,6 +961,9 @@ class ColumnarBackend(NaiveBackend):
     # -- JOIN -------------------------------------------------------------------------
 
     def run_join(self, plan, anchor: Dataset, experiment: Dataset):
+        if has_ragged_rows(anchor, experiment):
+            return super().run_join(plan, anchor, experiment)
+
         def kernel():
             from repro.gdm import AttributeDef, INT
 
@@ -991,7 +1022,7 @@ class ColumnarBackend(NaiveBackend):
                     yield (
                         join_rows(
                             merged, plan.output, tasks,
-                            anchor_sample.regions, exp_sample.regions,
+                            anchor_sample.columns(), exp_sample.columns(),
                         ),
                         merged_metadata(anchor_sample, exp_sample),
                         [
@@ -1013,7 +1044,7 @@ class ColumnarBackend(NaiveBackend):
     # -- DIFFERENCE ------------------------------------------------------------------
 
     def run_difference(self, plan, left: Dataset, right: Dataset):
-        if plan.exact or plan.joinby:
+        if plan.exact or plan.joinby or has_ragged_rows(left, right):
             return super().run_difference(plan, left, right)
 
         def kernel():
@@ -1052,17 +1083,11 @@ class ColumnarBackend(NaiveBackend):
 
             def parts():
                 for sample, tasks in zip(samples, planned):
-                    overlapped = np.zeros(len(sample.regions), dtype=bool)
+                    overlapped = np.zeros(len(sample), dtype=bool)
                     for block, task in tasks:
                         overlapped[block.index] = task.result()
-                    kept = [
-                        region
-                        for region, hit in zip(
-                            sample.regions, overlapped.tolist()
-                        )
-                        if not hit
-                    ]
-                    yield (kept, sample.meta, [(left.name, sample.id)])
+                    yield (sample.columns().take(~overlapped), sample.meta,
+                           [(left.name, sample.id)])
 
             return build_result(
                 "DIFFERENCE",

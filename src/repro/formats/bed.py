@@ -184,7 +184,7 @@ class CustomBedFormat(RegionFormat):
         left, right = int(fields[1]), int(fields[2])
         strand = self.parse_strand(fields[3])
         raw_values = fields[4:]
-        if len(raw_values) > len(self._schema):
+        if len(raw_values) != len(self._schema):
             raise FormatError(
                 f"{len(raw_values)} variable fields for "
                 f"{len(self._schema)}-attribute schema"

@@ -49,7 +49,7 @@ def chromosome_sort_key(chrom: str) -> tuple:
 def check_region_columns(chroms, lefts, rights, strands) -> None:
     """The :class:`GenomicRegion` constructor's checks over whole columns.
 
-    For rows born as columns (see :class:`repro.gdm.sample.RowSource`):
+    For rows born as columns (see :class:`repro.gdm.sample.ColumnRows`):
     *lefts* and *rights* are integer arrays, *chroms* and *strands* the
     names and symbols the rows draw from.  A coordinate error names the
     first offending row, with the constructor's message.

@@ -6,12 +6,13 @@ id, an ordered list of regions, and one :class:`~repro.gdm.metadata.Metadata`
 instance.  Samples are value objects from the algebra's point of view:
 operators derive new samples instead of mutating existing ones.
 
-The logical model does not fix the physical one (paper, section 4.2): a
-sample an operator computed as columns may be *born from columns*.  It
-then holds a :class:`RowSource` -- the operator's own arrays -- answers
-its length, rows and chromosome runs from it, and builds its
-:class:`GenomicRegion` objects only when something asks for
-:attr:`Sample.regions`.
+The logical model does not fix the physical one (paper, section 4.2):
+a sample holds a :class:`RegionList` or is *born as columns*
+(:class:`ColumnRows`), answers its length, rows and chromosome runs from
+them and builds its :class:`GenomicRegion` objects only when something
+asks for :attr:`Sample.regions`.  :meth:`Sample.columns` is the one
+column view of either shape, which everything but the naive engine and
+the line-level format API reads.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class RegionList(list):
     """A sample's region list, and the holder of what is derived from it.
 
     The columnar store memoises everything it derives from one list --
-    per-bin-size blocks and typed value columns, see
+    its column view, per-bin-size blocks and typed value columns, see
     :func:`repro.store.columnar.region_memo` -- in :attr:`memo`, so
     every sample sharing the list object (a metadata SELECT's output, a
     renumbered or renamed copy) shares them too.  The memo is valid by
@@ -79,9 +80,10 @@ def _coordinates(regions, getter) -> np.ndarray:
         return np.array(list(map(getter, regions)), dtype=object)
 
 
-def region_list_columns(regions, extra: list = ()) -> ColumnRows | None:
+def region_list_columns(regions) -> ColumnRows | None:
     """The rows of a region list as :class:`ColumnRows`, read one
-    attribute at a time, with *extra* value columns appended.
+    attribute at a time: how a region list's column view is built (see
+    :meth:`Sample.columns`).
 
     ``None`` when the regions' value tuples differ in width (possible
     only with validation off): columns cannot hold such rows.
@@ -90,29 +92,36 @@ def region_list_columns(regions, extra: list = ()) -> ColumnRows | None:
     widths = set(map(len, rows))
     if len(widths) > 1:
         return None
-    values = [
-        list(map(itemgetter(index), rows))
-        for index in range(max(widths, default=0))
-    ]
     return ColumnRows(
         chromosome_runs(regions),
         _coordinates(regions, _LEFT),
         _coordinates(regions, _RIGHT),
         list(map(_STRAND, regions)),
-        values + list(extra),
+        [
+            list(map(itemgetter(index), rows))
+            for index in range(max(widths, default=0))
+        ],
     )
 
 
-# -- samples born from columns --------------------------------------------------
+def take_column(column, index: np.ndarray):
+    """The entries *index* of a column, in that order: an array's as an
+    array, a list's as a list."""
+    if isinstance(column, np.ndarray):
+        return column[index]
+    return list(map(column.__getitem__, index.tolist()))
 
-#: Serialises materialisation, so concurrent readers of one lazily born
-#: sample all get the same region list.
+
+# -- rows held as columns ----------------------------------------------------
+
+#: Serialises materialisation, so concurrent readers of one sample born
+#: as columns all get the same region list.
 _MATERIALISE_LOCK = threading.Lock()
 _ROWS_MATERIALISED = 0
 
 
 def rows_materialised() -> int:
-    """Region objects built so far from lazily born samples (process-wide)."""
+    """Region objects built so far from column-born samples (process-wide)."""
     return _ROWS_MATERIALISED
 
 
@@ -123,84 +132,35 @@ def reset_rows_materialised() -> None:
         _ROWS_MATERIALISED = 0
 
 
-class RowSource:
-    """A sample's regions, still in the columns an operator computed.
-
-    Answers the row count, the GDM rows and the chromosome runs from
-    those columns; :meth:`regions` builds the :class:`GenomicRegion`
-    objects -- once, under a lock -- only when something needs them.
-    Rows are exactly the tuples the built regions give, so a digest
-    over :meth:`rows` equals one over the materialised sample.
-    Subclasses hold their columns and implement :meth:`__len__`,
-    :meth:`rows`, :meth:`chromosome_runs` and :meth:`_build`; coordinate
-    columns they compute themselves pass
-    :func:`~repro.gdm.region.check_region_columns` when they are born.
-
-    :attr:`memo` holds what the columnar store derives from these rows
-    (see :func:`repro.store.columnar.region_memo`), just as a
-    :class:`RegionList`'s does; the list :meth:`regions` builds adopts
-    it, so blocks built from the columns survive materialisation.
-    """
-
-    __slots__ = ("_regions", "memo")
-
-    def __init__(self) -> None:
-        self._regions = None
-        self.memo = None
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def rows(self, sample_id: int) -> Iterator[tuple]:
-        """The rows ``(id, chrom, left, right, strand, v...)``."""
-        raise NotImplementedError
-
-    def chromosome_runs(self) -> list:
-        """As :func:`chromosome_runs` over the materialised regions."""
-        raise NotImplementedError
-
-    def _build(self) -> Iterable[GenomicRegion]:
-        raise NotImplementedError
-
-    def regions(self) -> RegionList:
-        """The materialised region list (built on first call, then kept)."""
-        global _ROWS_MATERIALISED
-        regions = self._regions
-        if regions is None:
-            with _MATERIALISE_LOCK:
-                regions = self._regions
-                if regions is None:
-                    regions = RegionList(self._build())
-                    regions.memo = self.memo
-                    _ROWS_MATERIALISED += len(regions)
-                    self._regions = regions
-        return regions
-
-    @property
-    def built(self) -> RegionList | None:
-        """The region list :meth:`regions` built, or ``None`` before."""
-        return self._regions
-
-
-class ColumnRows(RowSource):
+class ColumnRows:
     """Rows held as columns, in row order: the chromosome runs
     ``[(chrom, count), ...]``, ``lefts`` and ``rights`` (integer arrays),
     one strand symbol per row, and one column per variable value (an
-    array or a list of Python values).  What COVER-family and JOIN
-    outputs and samples read from GDM files
-    (:meth:`repro.formats.bed.CustomBedFormat.parse_columns`) are born
-    from; their coordinates are checked here."""
+    array or a list of Python values).  Columnar operator outputs, GDM
+    file reads (:meth:`repro.formats.bed.CustomBedFormat.parse_columns`)
+    and region-list views are born as columns; coordinates are checked
+    here.  :meth:`regions` builds the :class:`GenomicRegion` objects --
+    once, under a lock -- giving exactly the tuples of :meth:`rows`.
 
-    __slots__ = ("runs", "lefts", "rights", "strands", "values")
+    Columns are shared (a MAP output holds its reference's, blocks hold
+    coordinate slices), so none is mutated in place.  :attr:`memo` holds
+    what the columnar store derives from the rows (see
+    :func:`repro.store.columnar.region_memo`); the list :meth:`regions`
+    builds adopts it, so blocks survive materialisation.
+    """
+
+    __slots__ = ("runs", "lefts", "rights", "strands", "values",
+                 "_regions", "memo")
 
     def __init__(self, runs: list, lefts: np.ndarray, rights: np.ndarray,
                  strands, values: list) -> None:
-        super().__init__()
         self.runs = runs
         self.lefts = lefts
         self.rights = rights
         self.strands = strands
         self.values = values
+        self._regions = None
+        self.memo = None
         check_region_columns(
             [chrom for chrom, __ in runs], lefts, rights, set(strands)
         )
@@ -218,53 +178,51 @@ class ColumnRows(RowSource):
         ]
 
     def rows(self, sample_id: int) -> Iterator[tuple]:
+        """The rows ``(id, chrom, left, right, strand, v...)``."""
         return zip(repeat(sample_id), *self._columns())
 
     def chromosome_runs(self) -> list:
+        """As :func:`chromosome_runs` over the materialised regions."""
         return list(self.runs)
 
-    def _build(self):
-        chroms, lefts, rights, strands, *values = self._columns()
-        for chrom, left, right, strand, row in zip(
-            chroms, lefts, rights, strands,
-            zip(*values) if values else repeat(()),
-        ):
-            yield GenomicRegion(chrom, left, right, strand, row)
+    def regions(self) -> RegionList:
+        """The materialised region list (built on first call, then kept)."""
+        global _ROWS_MATERIALISED
+        regions = self._regions
+        if regions is None:
+            with _MATERIALISE_LOCK:
+                regions = self._regions
+                if regions is None:
+                    chroms, lefts, rights, strands, *values = self._columns()
+                    regions = RegionList(
+                        GenomicRegion(chrom, left, right, strand, row)
+                        for chrom, left, right, strand, row in zip(
+                            chroms, lefts, rights, strands,
+                            zip(*values) if values else repeat(()),
+                        )
+                    )
+                    regions.memo = self.memo
+                    _ROWS_MATERIALISED += len(regions)
+                    self._regions = regions
+        return regions
 
-
-class MapRows(RowSource):
-    """MAP output: the reference regions, each with the aggregate values
-    appended -- one value list per aggregate, in reference order.  The
-    coordinates are the reference's own, checked when those were built."""
-
-    __slots__ = ("reference", "columns")
-
-    def __init__(self, reference: Sequence[GenomicRegion],
-                 columns: list) -> None:
-        super().__init__()
-        self.reference = reference
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.reference)
-
-    def _extras(self):
-        return zip(*self.columns) if self.columns else repeat(())
-
-    def rows(self, sample_id: int) -> Iterator[tuple]:
-        return (
-            (sample_id, r.chrom, r.left, r.right, r.strand, *r.values, *extra)
-            for r, extra in zip(self.reference, self._extras())
+    def take(self, keep: np.ndarray) -> ColumnRows:
+        """The rows where the boolean mask *keep* holds, in row order,
+        as new columns (what region SELECT and DIFFERENCE emit)."""
+        index = np.flatnonzero(keep)
+        ends = np.cumsum([count for __, count in self.runs], dtype=np.int64)
+        kept = np.diff(np.searchsorted(index, ends), prepend=0).tolist()
+        runs: list = []
+        for (chrom, __), count in zip(self.runs, kept):
+            if count and runs and runs[-1][0] == chrom:
+                count += runs.pop()[1]
+            if count:
+                runs.append((chrom, count))
+        return ColumnRows(
+            runs, self.lefts[index], self.rights[index],
+            take_column(self.strands, index),
+            [take_column(column, index) for column in self.values],
         )
-
-    def chromosome_runs(self) -> list:
-        return chromosome_runs(self.reference)
-
-    def _build(self):
-        for r, extra in zip(self.reference, self._extras()):
-            yield GenomicRegion(
-                r.chrom, r.left, r.right, r.strand, r.values + extra
-            )
 
 
 class Sample:
@@ -278,8 +236,8 @@ class Sample:
         Iterable of :class:`GenomicRegion`, kept in the given order
         (operators that need genome order sort explicitly).  A
         :class:`RegionList` is kept as is -- shared, with its memo --
-        and so is a :class:`RowSource`, which makes the sample born
-        from columns; anything else is copied into a new list.
+        and so is a :class:`ColumnRows`, which makes the sample born
+        as columns; anything else is copied into a new list.
     meta:
         The sample's metadata; defaults to empty metadata.
     """
@@ -296,18 +254,18 @@ class Sample:
             raise DatasetError(f"negative sample id: {sample_id}")
         self.id = int(sample_id)
         self._regions = (
-            regions if isinstance(regions, (RegionList, RowSource))
+            regions if isinstance(regions, (RegionList, ColumnRows))
             else RegionList(regions)
         )
         self.meta = meta if meta is not None else Metadata()
 
     @property
     def regions(self):
-        """The region list; a sample born from columns builds it here,
-        once, and then forgets its :class:`RowSource`."""
+        """The region list; a sample born as columns builds it on first
+        request (:meth:`ColumnRows.regions`) and keeps its columns."""
         regions = self._regions
-        if isinstance(regions, RowSource):
-            regions = self._regions = regions.regions()
+        if isinstance(regions, ColumnRows):
+            return regions.regions()
         return regions
 
     @regions.setter
@@ -316,27 +274,21 @@ class Sample:
 
     def held_rows(self):
         """The rows as the sample holds them, never materialised: its
-        region list, or the :class:`RowSource` it was born from."""
+        region list, or the :class:`ColumnRows` it was born as."""
         return self._regions
 
     def columns(self) -> ColumnRows | None:
-        """The rows as one :class:`ColumnRows`, no region object built:
-        what the GDM writer and the disk result cache read.
+        """The rows as one :class:`ColumnRows`, no region object built.
 
-        A sample born as columns returns them as they are; MAP's rows
-        are its reference's columns plus the aggregate lists; a region
-        list is read one attribute at a time.  Nothing is kept, so each
-        call reads the rows afresh.  ``None`` for rows whose value
-        tuples differ in width (see :func:`region_list_columns`).
+        A sample born as columns returns them as they are; a region
+        list's view is read once and memoised on the list
+        (:func:`repro.store.columnar.column_view`).  ``None`` for rows
+        whose value tuples differ in width (see
+        :func:`region_list_columns`).
         """
-        rows = self._regions
-        if isinstance(rows, ColumnRows):
-            return rows
-        if isinstance(rows, MapRows):
-            return region_list_columns(rows.reference, rows.columns)
-        if isinstance(rows, RowSource):
-            rows = rows.regions()
-        return region_list_columns(rows)
+        from repro.store.columnar import column_view
+
+        return column_view(self._regions)
 
     # -- pickling: always the eager state -------------------------------------
 
@@ -365,10 +317,10 @@ class Sample:
 
     def chromosome_runs(self) -> list:
         """``[(chrom, count), ...]`` over the regions' consecutive
-        same-chromosome runs (a sample born from columns answers from
+        same-chromosome runs (a sample born as columns answers from
         them)."""
         regions = self._regions
-        if isinstance(regions, RowSource):
+        if isinstance(regions, ColumnRows):
             return regions.chromosome_runs()
         return chromosome_runs(regions)
 
@@ -382,11 +334,11 @@ class Sample:
         Each tuple is built attribute by attribute rather than through
         :meth:`GenomicRegion.__iter__`: a digest asks for every row of a
         result, and a generator per region was most of its cost.  A
-        sample born from columns yields them from its columns.
+        sample born as columns yields them from its columns.
         """
         sample_id = self.id
         regions = self._regions
-        if isinstance(regions, RowSource):
+        if isinstance(regions, ColumnRows):
             return regions.rows(sample_id)
         return (
             (sample_id, r.chrom, r.left, r.right, r.strand, *r.values)
@@ -426,7 +378,7 @@ class Sample:
 
     def with_id(self, sample_id: int) -> "Sample":
         """Copy under a new id (shares the region list and its memo, or
-        the row source)."""
+        the columns)."""
         return Sample(sample_id, self._regions, self.meta)
 
     def with_regions(self, regions: Iterable[GenomicRegion]) -> "Sample":

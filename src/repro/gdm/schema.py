@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -375,22 +374,22 @@ class MergedSchema:
                 out[target] = value
         return tuple(out)
 
-    def combine_columns(self, left_rows: list, right_rows: list) -> list:
+    def combine_columns(self, left_columns: list, right_columns: list) -> list:
         """:meth:`combine` over many rows at once, a column at a time.
 
-        *left_rows* and *right_rows* are row-aligned lists of operand
-        value tuples.  Returns one list per merged attribute; the i-th
-        entries of the lists make ``combine(left_rows[i],
-        right_rows[i])``.  A row narrower than its operand's schema
-        raises ``IndexError``, as in :meth:`combine`.
+        *left_columns* and *right_columns* hold one list of values per
+        operand attribute, the lists row-aligned.  Returns one list per
+        merged attribute; the i-th entries of the lists make
+        :meth:`combine` of the operands' i-th rows.  An operand with
+        fewer columns than its schema raises ``IndexError``, as
+        :meth:`combine` does for a narrower row.
         """
         columns: list = [
-            list(map(itemgetter(index), left_rows))
-            for index in range(self._widths[0])
+            left_columns[index] for index in range(self._widths[0])
         ]
         columns += [None] * len(self._padding)
         for source, target in self._right_targets:
-            right = list(map(itemgetter(source), right_rows))
+            right = right_columns[source]
             left = columns[target]
             columns[target] = right if left is None else [
                 value if value is not None else kept

@@ -32,6 +32,7 @@ import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.engine.auto import choose_backend
+from repro.errors import DatasetError
 from repro.gmql.lang.effects import node_effects
 from repro.gmql.lang.plan import (
     CompiledProgram,
@@ -210,8 +211,11 @@ def _zone_refinement(node: PlanNode, children: list, datasets: dict):
     right = _scan_source(children[1], datasets)
     if left is None or right is None:
         return None, ""
-    left_zone = left.store().zone_map()
-    right_zone = right.store().zone_map()
+    try:
+        left_zone = left.store().zone_map()
+        right_zone = right.store().zone_map()
+    except DatasetError:  # ragged rows: no columns to build zone maps from
+        return None, ""
     total = left_zone.partitions()
     if not total:
         return None, ""

@@ -9,13 +9,14 @@ the set of occupied genome bins per chromosome) so operators can prove
 "nothing here can match" and skip whole chromosomes or bins without
 touching a single region.
 
-Everything derived from one sample's regions -- its blocks per bin size
-and its typed value columns (:func:`region_column`) -- is memoised on
-the region list itself (:class:`RegionMemo`, held by
-:class:`~repro.gdm.sample.RegionList`), not on a dataset: operators
-that pass a list through unchanged (metadata SELECT, EXTEND, ORDER by
-metadata, renames and renumbering) hand their output the blocks their
-operand already built, so a derived dataset costs no rebuild.
+Everything is read from a sample's column view (:func:`column_view`),
+never from region objects, and what is derived from one sample's rows --
+a region list's view, its blocks per bin size and its typed value
+columns (:func:`region_column`) -- is memoised on the rows themselves
+(:class:`RegionMemo`), not on a dataset: operators that pass rows
+through unchanged (metadata SELECT, EXTEND, ORDER by metadata, renames
+and renumbering) hand their output what their operand already built,
+so a derived dataset costs no rebuild.
 
 The layer is storage-only: it never interprets operator semantics.
 Engines ask a :class:`DatasetStore` (memoised on the dataset, see
@@ -29,18 +30,18 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import Iterator
 
 import numpy as np
 
+from repro.errors import DatasetError
 from repro.gdm.region import chromosome_sort_key
 from repro.gdm.sample import (
     ColumnRows,
     RegionList,
-    RowSource,
-    chromosome_runs,
     listed,
+    region_list_columns,
     reset_rows_materialised,
     rows_materialised,
 )
@@ -57,10 +58,6 @@ STRAND_CODES = {"+": 1, "-": -1, "*": 0}
 _STRAND_RANKS = np.array([2, 0, 1], dtype=np.int8)
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
-
-_LEFT = attrgetter("left")
-_RIGHT = attrgetter("right")
-_STRAND = attrgetter("strand")
 
 #: Process-wide block accounting, mirroring the per-store counters.
 #: Individual stores live on (possibly short-lived) derived datasets --
@@ -350,20 +347,18 @@ class ChromBlock:
 
 
 class SampleBlocks:
-    """All columnar blocks of one region list plus its zone map.
+    """All columnar blocks of one sample's rows plus its zone map.
 
     ``sample_id`` is the id of the sample the blocks were first built
-    for; samples sharing the region list share the blocks whatever
-    their own ids.  *regions* is a region list or a
-    :class:`~repro.gdm.sample.RowSource`; a
-    :class:`~repro.gdm.sample.ColumnRows` is read from its columns
-    (:meth:`from_columns`), never materialised.
+    for; samples sharing the rows share the blocks whatever their own
+    ids.  *rows* are the sample's held rows, read through their column
+    view (:func:`column_view`).
     """
 
     __slots__ = ("sample_id", "n_regions", "chroms", "zone_map")
 
-    def __init__(self, sample_id, regions, bin_size: int) -> None:
-        self._fill(sample_id, *_row_columns(regions), bin_size)
+    def __init__(self, sample_id, rows, bin_size: int) -> None:
+        self._fill(sample_id, *_row_columns(rows), bin_size)
 
     @classmethod
     def from_columns(
@@ -375,9 +370,8 @@ class SampleBlocks:
         :data:`STRAND_CODES` strand codes.
 
         One block per chromosome in first-seen order, its rows in
-        ascending row order: the arrays the region-list constructor
-        builds.  A chromosome held in one run gets slices of the
-        columns, not copies.
+        ascending row order.  A chromosome held in one run gets slices
+        of the columns, not copies.
         """
         blocks = cls.__new__(cls)
         blocks._fill(sample_id, runs, lefts, rights, strands, bin_size)
@@ -456,20 +450,26 @@ class SampleBlocks:
 # -- the per-region-list memo ---------------------------------------------------
 
 
-class RegionMemo:
-    """Everything the store derives from one region list, held by the list.
+_UNSET = object()
 
-    ``blocks`` maps a bin size to the list's :class:`SampleBlocks`;
-    ``columns`` maps a field to its :class:`ValueColumn`.  Blocks built
-    in memory are charged to the
-    :class:`~repro.store.persist.ResidencyLedger` with this memo as
-    their owner: the charge is discharged when the memo -- that is, its
-    list -- dies, and a spill drops the blocks from here.
+
+class RegionMemo:
+    """Everything the store derives from one sample's rows, held by them.
+
+    ``view`` is a region list's column view (:func:`column_view`),
+    ``blocks`` maps a bin size to the rows' :class:`SampleBlocks` and
+    ``columns`` maps a field to its :class:`ValueColumn`.  Blocks, value
+    columns and operator outputs share the view's lists and arrays, so
+    no column of a view is ever mutated in place.  Blocks built in
+    memory are charged to the :class:`~repro.store.persist.ResidencyLedger`
+    with this memo as their owner: the charge is discharged when the
+    memo -- that is, its rows -- dies, and a spill drops the blocks.
     """
 
-    __slots__ = ("blocks", "columns", "evictions", "__weakref__")
+    __slots__ = ("view", "blocks", "columns", "evictions", "__weakref__")
 
     def __init__(self) -> None:
+        self.view = _UNSET
         self.blocks: dict = {}
         self.columns: dict = {}
         #: Block sets the residency ledger spilled from this memo.
@@ -485,40 +485,56 @@ class RegionMemo:
 _ATTACH_LOCK = threading.Lock()
 
 
-def _memo_holder(regions):
-    """What carries the memo of *regions*: a region list, a
-    :class:`~repro.gdm.sample.RowSource` not yet materialised (or else
-    the list it built), or ``None`` for anything else."""
-    if isinstance(regions, RowSource) and regions.built is not None:
-        return regions.built
-    return regions if isinstance(regions, (RegionList, RowSource)) else None
+def region_memo(rows) -> RegionMemo | None:
+    """The memo of a sample's held *rows*, attached on first use.
 
-
-def region_memo(regions) -> RegionMemo | None:
-    """The memo of *regions*, attached on first use.
-
-    *regions* is a :class:`~repro.gdm.sample.RegionList` or a
-    :class:`~repro.gdm.sample.RowSource`, whose memo the list it builds
+    *rows* is a :class:`~repro.gdm.sample.RegionList` or a
+    :class:`~repro.gdm.sample.ColumnRows`, whose memo the list it builds
     adopts.  ``None`` for anything else (a plain list a caller assigned
     to ``sample.regions``): such a list cannot carry a memo, so
     everything derived from it is rebuilt on request.
     """
-    holder = _memo_holder(regions)
-    if holder is None:
+    if not isinstance(rows, (RegionList, ColumnRows)):
         return None
-    memo = holder.memo
+    memo = rows.memo
     if memo is None:
         with _ATTACH_LOCK:
-            memo = holder.memo
+            memo = rows.memo
             if memo is None:
-                memo = holder.memo = RegionMemo()
+                memo = rows.memo = RegionMemo()
     return memo
 
 
-def _peek_memo(regions) -> RegionMemo | None:
-    """The memo of *regions* if one is attached (never attaches one)."""
-    holder = _memo_holder(regions)
-    return None if holder is None else holder.memo
+def column_view(rows) -> ColumnRows | None:
+    """:meth:`~repro.gdm.sample.Sample.columns` of a sample's held *rows*.
+
+    A :class:`~repro.gdm.sample.ColumnRows` is its own view; a region
+    list's is read once and memoised in its :class:`RegionMemo` (a plain
+    list, which carries no memo, is read on every call).
+    """
+    if isinstance(rows, ColumnRows):
+        return rows
+    memo = region_memo(rows)
+    if memo is None:
+        return region_list_columns(rows)
+    view = memo.view
+    if view is _UNSET:
+        view = region_list_columns(rows)
+        with _ATTACH_LOCK:
+            if memo.view is _UNSET:
+                memo.view = view
+            view = memo.view
+    return view
+
+
+def _columns_of(rows) -> ColumnRows:
+    """The column view of *rows*; ragged rows, which have none, raise."""
+    view = column_view(rows)
+    if view is None:
+        raise DatasetError(
+            "rows whose value tuples differ in width have no column view"
+        )
+    return view
 
 
 def _strand_codes(strands) -> np.ndarray:
@@ -529,41 +545,23 @@ def _strand_codes(strands) -> np.ndarray:
 
 
 def _row_columns(rows) -> tuple:
-    """``(runs, lefts, rights, strand codes)`` of one sample's rows.
-
-    A :class:`~repro.gdm.sample.ColumnRows` answers from its own
-    columns; any other :class:`~repro.gdm.sample.RowSource` is
-    materialised; a region list is read once per column.
-    """
-    if isinstance(rows, ColumnRows):
-        return rows.runs, rows.lefts, rows.rights, _strand_codes(rows.strands)
-    if isinstance(rows, RowSource):
-        rows = rows.regions()
-    count = len(rows)
-    return (
-        chromosome_runs(rows),
-        np.fromiter(map(_LEFT, rows), np.int64, count),
-        np.fromiter(map(_RIGHT, rows), np.int64, count),
-        _strand_codes(list(map(_STRAND, rows))),
-    )
-
-
-_UNSET = object()
+    """``(runs, lefts, rights, strand codes)`` of a sample's held *rows*,
+    read from their column view."""
+    view = _columns_of(rows)
+    return view.runs, view.lefts, view.rights, _strand_codes(view.strands)
 
 
 class ValueColumn:
-    """One field of every region of a list, extracted once.
-
-    :attr:`values` holds the field's Python value per region, in list
-    order; each typed array view is derived from it on first request and
-    memoised, so a MAP aggregate or a SELECT predicate over a resident
-    list never walks its region objects again.
+    """One column of a sample's column view (its own list or array,
+    shared), with each typed view derived on first request and memoised,
+    so a MAP aggregate or a SELECT predicate over resident rows reads
+    the rows once.
     """
 
-    __slots__ = ("values", "_views")
+    __slots__ = ("column", "_views")
 
-    def __init__(self, values: list) -> None:
-        self.values = values
+    def __init__(self, column) -> None:
+        self.column = column
         self._views: dict = {}
 
     def _view(self, name, build):
@@ -572,22 +570,33 @@ class ValueColumn:
             view = self._views[name] = build()
         return view
 
+    def _numeric(self) -> bool:
+        column = self.column
+        return isinstance(column, np.ndarray) and column.dtype.kind in "iuf"
+
+    @property
+    def values(self) -> list:
+        """The Python value of every row, in row order."""
+        return self._view("values", lambda: listed(self.column))
+
     def has_missing(self) -> bool:
-        return self._view(
-            "missing", lambda: any(value is None for value in self.values)
-        )
+        return self._view("missing", lambda: not self._numeric() and any(
+            value is None for value in self.values
+        ))
 
     def exact(self, type_name: str | None) -> np.ndarray | None:
         """The values as int64 (``INT``) or float64 (``FLOAT``), or ``None``.
 
         ``None`` for any other type, a missing value, or a value the
         dtype cannot hold: the precondition of every exact vectorised
-        reduction.
+        reduction.  An array of that dtype is returned as it is.
         """
         def build():
             if type_name not in ("INT", "FLOAT") or self.has_missing():
                 return None
             dtype = np.int64 if type_name == "INT" else np.float64
+            if self._numeric() and self.column.dtype == dtype:
+                return self.column
             try:
                 return np.asarray(self.values, dtype=dtype)
             except (OverflowError, ValueError):
@@ -617,20 +626,27 @@ class ValueColumn:
         )
 
 
-def region_column(regions, field) -> ValueColumn:
-    """The (memoised) :class:`ValueColumn` of one field of *regions*.
+def region_column(rows, field) -> ValueColumn:
+    """The (memoised) :class:`ValueColumn` of one field of a sample's
+    held *rows*, read from their column view.
 
     *field* is a fixed attribute name (``"left"``, ``"right"``,
-    ``"chrom"``, ``"strand"``) or an index into each region's variable
-    values.  The one column extraction every columnar operator uses.
+    ``"chrom"``, ``"strand"``) or an index into the variable values.
+    The one column extraction every columnar operator uses.
     """
-    memo = region_memo(regions)
+    memo = region_memo(rows)
     column = memo.columns.get(field) if memo is not None else None
     if column is None:
+        view = _columns_of(rows)
         if isinstance(field, int):
-            values = [region.values[field] for region in regions]
+            # An empty region list's view has no value column at all.
+            values = view.values[field] if len(view) else []
+        elif field == "chrom":
+            values = list(chain.from_iterable(
+                repeat(chrom, count) for chrom, count in view.runs
+            ))
         else:
-            values = list(map(attrgetter(field), regions))
+            values = getattr(view, field + "s")
         column = ValueColumn(values)
         if memo is not None:
             memo.columns[field] = column
@@ -859,51 +875,39 @@ def _update_column(h, column: list, count: int) -> None:
 _TYPE_TAGS = {float: "f", int: "i", str: "s", bool: "b", type(None): "n"}
 
 
-def _update_regions(h, regions, count: int) -> None:
-    """Hash one sample's region objects (recipe v3, see
-    :meth:`DatasetStore.digest`)."""
+def _update_coordinates(h, lefts, rights) -> None:
+    """Hash coordinates as int64 bytes, or as text beyond int64."""
     try:
         coordinates = (
-            np.fromiter((r.left for r in regions), np.int64, count).tobytes(),
-            np.fromiter((r.right for r in regions), np.int64, count).tobytes(),
+            np.asarray(lefts, dtype=np.int64).tobytes(),
+            np.asarray(rights, dtype=np.int64).tobytes(),
         )
     except OverflowError:  # coordinates beyond int64
-        coordinates = (
-            ";".join(f"{r.left}-{r.right}" for r in regions).encode(),
-        )
-    for piece in coordinates:
-        h.update(piece)
-    _update_strings(h, [r.chrom for r in regions])
-    _update_strings(h, [r.strand for r in regions])
-    rows = [r.values for r in regions]
-    widths = set(map(len, rows))
-    if len(widths) == 1:
-        width = widths.pop()
-        h.update(f"|values:{width};".encode())
-        for index in range(width):
-            _update_column(h, [row[index] for row in rows], count)
-    else:
-        # Ragged value tuples (only possible with validation off): fall
-        # back to exhaustive per-region hashing.
-        h.update(b"|values:ragged;")
-        h.update(";".join(map(repr, rows)).encode())
-
-
-def _update_column_rows(h, rows: ColumnRows, count: int) -> None:
-    """:func:`_update_regions` over a sample born as columns: the same
-    bytes, read from the columns (their rows all have one width)."""
-    try:
-        coordinates = (
-            np.asarray(rows.lefts, dtype=np.int64).tobytes(),
-            np.asarray(rows.rights, dtype=np.int64).tobytes(),
-        )
-    except OverflowError:  # a region list's column view beyond int64
         coordinates = (";".join(
             f"{left}-{right}"
-            for left, right in zip(rows.lefts.tolist(), rows.rights.tolist())
+            for left, right in zip(listed(lefts), listed(rights))
         ).encode(),)
     for piece in coordinates:
         h.update(piece)
+
+
+def _update_ragged(h, regions) -> None:
+    """Hash one sample's region objects whose value tuples differ in
+    width (only possible with validation off), which have no column
+    view: exhaustive per-region hashing of the values."""
+    _update_coordinates(
+        h, [r.left for r in regions], [r.right for r in regions]
+    )
+    _update_strings(h, [r.chrom for r in regions])
+    _update_strings(h, [r.strand for r in regions])
+    h.update(b"|values:ragged;")
+    h.update(";".join(repr(r.values) for r in regions).encode())
+
+
+def _update_column_rows(h, rows: ColumnRows, count: int) -> None:
+    """Hash one sample's column view (recipe v3, see
+    :meth:`DatasetStore.digest`)."""
+    _update_coordinates(h, rows.lefts, rows.rights)
     runs = [(chrom, n) for chrom, n in rows.runs if n]
     h.update(",".join(
         ",".join([str(len(chrom))] * n) for chrom, n in runs
@@ -1142,13 +1146,8 @@ class DatasetStore:
         return self.zone_map().partitions()
 
     def _sample_memos(self) -> list:
-        return [
-            memo
-            for memo in map(
-                _peek_memo, (s.held_rows() for s in self._dataset)
-            )
-            if memo is not None
-        ]
+        memos = (getattr(s.held_rows(), "memo", None) for s in self._dataset)
+        return [memo for memo in memos if memo is not None]
 
     @property
     def blocks_evicted(self) -> int:
@@ -1204,11 +1203,10 @@ class DatasetStore:
         results freely and a rename does not change content, so
         fingerprint-keyed caches stay valid across renames.
 
-        Computed straight from the rows as each sample holds them -- the
-        columns of a sample born as columns, else the region objects;
-        never from blocks -- because the digest *keys* the persisted
-        store: looking a store up must not first build the blocks the
-        lookup exists to avoid.  Both give the same bytes.
+        Computed from each sample's column view, never from blocks,
+        because the digest *keys* the persisted store: looking a store
+        up must not first build the blocks the lookup exists to avoid.
+        Ragged rows, which have no view, hash their region objects.
 
         Recipe v3 feeds coordinates and numeric attribute columns to the
         hash as raw fixed-width bytes (with an explicit per-value type
@@ -1232,14 +1230,14 @@ class DatasetStore:
                     for __, a, v in sample.meta.triples(sample.id)
                 ):
                     h.update(f"@{attribute}={value};".encode())
-                rows = sample.held_rows()
-                count = len(rows)
+                count = len(sample)
                 h.update(f"|regions:{count};".encode())
                 if not count:
                     continue
-                if isinstance(rows, ColumnRows):
-                    _update_column_rows(h, rows, count)
+                rows = sample.columns()
+                if rows is None:
+                    _update_ragged(h, sample.regions)
                 else:
-                    _update_regions(h, sample.regions, count)
+                    _update_column_rows(h, rows, count)
             self._digest = h.hexdigest()
         return self._digest

@@ -66,10 +66,13 @@ class TestCustomBed:
         r = fmt.parse("chr1\t0\t10\t+\t.\t7\n")[0]
         assert r.values == (None, 7)
 
-    def test_short_line_pads(self, fmt):
-        r = fmt.parse("chr1\t0\t10\t-\n")[0]
-        assert r.values == ()
-        assert r.strand == "-"
+    def test_short_line_rejected(self, fmt):
+        # A line short of values would load a region narrower than the
+        # schema (ragged rows), so it is an error like a long one.
+        with pytest.raises(FormatError, match="0 variable fields"):
+            fmt.parse("chr1\t0\t10\t-\n")
+        with pytest.raises(FormatError, match="1 variable fields"):
+            fmt.parse("chr1\t0\t10\t-\t1.5\n")
 
     def test_excess_fields_rejected(self, fmt):
         with pytest.raises(FormatError):

@@ -309,7 +309,7 @@ def test_malformed_file_raises_the_line_parsers_error(
     # good lines: the field count of the document is right, only the
     # junction check sees the lines are not.
     (SCHEMA_TEXT, ["chr1\t10\t20\t+\t1.5", "chr1\t10\t20\t+\t1.5\t3\t9"],
-     "gdm: line 3: 3 variable fields for 2-attribute schema"),
+     "gdm: line 2: 1 variable fields for 2-attribute schema"),
     (SCHEMA_TEXT, ["chr1\t10\t20\t+\t1.5\t3\t9", "chr1\t10\t20\t+\t1.5"],
      "gdm: line 2: 3 variable fields for 2-attribute schema"),
     (SCHEMA_TEXT, ["chr1\t10\t20", "chr1\t10\t20\t+\t1.5\t3\t9\t9\t9"],
@@ -319,7 +319,7 @@ def test_malformed_file_raises_the_line_parsers_error(
     ("\n", ["chr1\t10\t20\t+\tx", "chr1\t10\t20"],
      "gdm: line 2: 1 variable fields for 0-attribute schema"),
     ("name:STR\n", ["chr1\t1\t2\t+", "chr1\t1\t2\t+\ta\tb"],
-     "gdm: line 3: 2 variable fields for 1-attribute schema"),
+     "gdm: line 2: 0 variable fields for 1-attribute schema"),
     # The line after the short one starts with an empty field, so the
     # newline lands in a coordinate piece ("1\n", which int() reads)
     # and every strided column converts: only the junction check
@@ -347,6 +347,23 @@ def test_lines_whose_field_counts_cancel_out_raise_the_line_parsers_error(
             read(str(directory), "D")
         assert type(raised.value) is FormatError
         assert str(raised.value) == message
+
+
+def test_a_line_short_of_values_raises_instead_of_loading_ragged_rows(
+    tmp_path
+):
+    directory = tmp_path / "D"
+    directory.mkdir()
+    (directory / "schema.txt").write_text(SCHEMA_TEXT)
+    (directory / "S_00001.gdm").write_text(
+        "chr1\t10\t20\t+\t1.5\t3\nchr1\t30\t40\t+\t2.5\n"
+    )
+    for read in (read_dataset, read_by_lines):
+        with pytest.raises(FormatError) as raised:
+            read(str(directory), "D")
+        assert str(raised.value) == (
+            "gdm: line 2: 1 variable fields for 2-attribute schema"
+        )
 
 
 @pytest.mark.parametrize("schema, text", [
@@ -442,7 +459,9 @@ def disk_sources(tmp_path_factory):
     "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
     "R = MAP(n AS COUNT) PROMS ENCODE;\nMATERIALIZE R;\n",
     "R = COVER(2, ANY) ENCODE;\nMATERIALIZE R;\n",
-], ids=["map_count", "cover2"])
+    "PROMS = SELECT(annType == 'promoter') ANNOTATIONS;\n"
+    "R = JOIN(DLE(1000)) PROMS ENCODE;\nMATERIALIZE R;\n",
+], ids=["map_count", "cover2", "join_dle"])
 def test_repro_run_builds_no_encode_region(
     tmp_path, monkeypatch, disk_sources, program
 ):
@@ -463,21 +482,13 @@ def test_repro_run_builds_no_encode_region(
     before = rows_materialised()
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    encode = read["ENCODE"]
     assert all(
         isinstance(sample.held_rows(), ColumnRows)
-        and sample.held_rows().built is None
-        for sample in encode
+        for sample in read["ENCODE"]
     )
-    # What was built: MAP's reference, nothing else -- the disk result
-    # cache and the writer read the result's columns.
-    expected = 0
-    if "MAP" in program:
-        expected = sum(
-            len(sample) for sample in read["ANNOTATIONS"]
-            if sample.meta.matches("annType", "promoter")
-        )
-    assert rows_materialised() - before == expected
+    # No region object at all: MAP's reference, JOIN's value gathers,
+    # the disk result cache and the writer all read columns.
+    assert rows_materialised() - before == 0
 
 
 def test_parse_columns_of_an_empty_document():

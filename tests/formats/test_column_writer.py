@@ -32,7 +32,7 @@ from repro.gdm import (
     RegionSchema,
     Sample,
 )
-from repro.gdm.sample import ColumnRows, MapRows, RegionList, rows_materialised
+from repro.gdm.sample import ColumnRows, RegionList, rows_materialised
 from repro.gmql.lang import execute
 from repro.repository.staging import _serialise_sections
 
@@ -217,9 +217,9 @@ PROGRAMS = {
     "histogram": ("R = HISTOGRAM(1, ANY) B;", ColumnRows),
     "map_pairs": (
         "R = MAP(n AS COUNT, top AS MAX(score), labels AS BAG(label)) A B;",
-        MapRows,
+        ColumnRows,
     ),
-    "map_count": ("R = MAP(n AS COUNT) A B;", MapRows),
+    "map_count": ("R = MAP(n AS COUNT) A B;", ColumnRows),
     "join_left": ("R = JOIN(DLE(40); output: LEFT) A B;", ColumnRows),
     "join_cat": ("R = JOIN(MD(2); output: CAT) A B;", ColumnRows),
 }

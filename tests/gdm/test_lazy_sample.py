@@ -1,5 +1,5 @@
-"""Samples born from columns: COVER, MAP and JOIN outputs of the columnar
-engine hold their operator's arrays (a ``RowSource``) and build region
+"""Samples born as columns: COVER, MAP and JOIN outputs of the columnar
+engine hold their operator's arrays (a ``ColumnRows``) and build region
 objects only when ``sample.regions`` is asked for.
 
 What must hold: rows read from the columns are exactly the rows of the
@@ -27,7 +27,7 @@ from repro.gdm import (
     Sample,
     results_digest,
 )
-from repro.gdm.sample import RegionList, RowSource
+from repro.gdm.sample import ColumnRows, RegionList
 from repro.gmql.lang import execute
 from repro.store.columnar import reset_store_counters, store_counters
 
@@ -89,7 +89,7 @@ def reprs(rows) -> list:
 def lazy_samples(dataset: Dataset) -> list:
     samples = list(dataset)
     assert samples and all(
-        isinstance(s.held_rows(), RowSource) for s in samples
+        isinstance(s.held_rows(), ColumnRows) for s in samples
     )
     return samples
 
@@ -103,8 +103,9 @@ def test_rows_equal_materialised_and_naive_rows(name):
     lengths = [len(s) for s in samples]
     assert sum(lengths) > 0
     for sample in samples:
-        assert isinstance(sample.regions, list)
-        assert sample.held_rows() is sample.regions
+        assert isinstance(sample.regions, RegionList)
+        assert sample.regions is sample.regions
+        assert sample.columns() is sample.held_rows()
     assert [reprs(s.rows()) for s in samples] == lazy
     assert [len(s) for s in samples] == lengths
     assert lazy == [reprs(s.rows()) for s in oracle]
@@ -177,7 +178,7 @@ def test_chromosome_walks_equal_the_eager_sample(name):
     lazy_samples(result)
     summary, chroms = result.shard_summary(), result.chromosomes()
     runs = [s.chromosome_runs() for s in result]
-    assert all(isinstance(s.held_rows(), RowSource) for s in result)
+    assert all(isinstance(s.held_rows(), ColumnRows) for s in result)
     eager = Dataset("R", result.schema, [
         Sample(s.id, list(s.regions), s.meta) for s in result
     ], validate=False)

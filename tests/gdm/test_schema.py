@@ -200,18 +200,26 @@ class TestSchemaMerging:
             assert merged.combine(longer, right_rows[0]) == definition(
                 longer, right_rows[0]
             )
-        # combine_columns is combine a column at a time, row for row.
+        # combine_columns is combine a column at a time, row for row,
+        # also when an operand holds a column its schema does not name.
         pairs = [(l, r) for l in left_rows for r in right_rows]
-        if left:
-            pairs.append((left_rows[0] + ("spare",), right_rows[1]))
-        if right:
-            pairs.append((left_rows[1], right_rows[0] + ("spare",)))
-        lefts, rights = [l for l, __ in pairs], [r for __, r in pairs]
-        columns = merged.combine_columns(lefts, rights)
-        assert len(columns) == len(layout)
-        assert repr(list(zip(*columns))) == repr(
-            [merged.combine(l, r) for l, r in pairs]
-        )
+
+        def columns_of(rows, width):
+            return [[row[index] for row in rows] for index in range(width)]
+
+        for spare_left, spare_right in ((0, 0), (1, 0), (0, 1)):
+            lefts = [l + ("spare",) * spare_left for l, __ in pairs]
+            rights = [r + ("spare",) * spare_right for __, r in pairs]
+            columns = merged.combine_columns(
+                columns_of(lefts, len(left) + spare_left),
+                columns_of(rights, len(right) + spare_right),
+            )
+            assert len(columns) == len(layout)
+            assert repr(list(zip(*columns))) == repr(
+                [merged.combine(l, r) for l, r in zip(lefts, rights)]
+            )
         if left:
             with pytest.raises(IndexError):
-                merged.combine_columns([()], right_rows[:1])
+                merged.combine_columns(
+                    [], columns_of(right_rows, len(right))
+                )

@@ -12,6 +12,6 @@ def emit(chrom, lefts, rights, depths, reference, counts):
     mapped = [r.with_values(r.values + (c,)) for r, c in zip(reference, counts)]
     #! expect: RL011 @ 14
     qualified = gdm.GenomicRegion(chrom, 0, 1)
-    # Handing the columns to a row source is the sanctioned form.
+    # Handing the columns to ColumnRows is the sanctioned form.
     born = ColumnRows([(chrom, len(lefts))], lefts, rights, ["*"] * len(lefts), [depths])
     return rows, mapped, qualified, born

@@ -184,7 +184,7 @@ class TestColumnarRegionBuildRule:
     def test_rl011_leaves_other_engine_modules_alone(
         self, tmp_path, monkeypatch
     ):
-        """The rest of ``src`` -- the row sources themselves, ``naive``'s
+        """The rest of ``src`` -- ``ColumnRows`` itself, ``naive``'s
         operator library -- builds region objects by definition."""
         module = self.scoped(tmp_path, monkeypatch)
         other = module.parent / "naive.py"
@@ -276,7 +276,7 @@ class TestRegionsReadRule:
         ]
 
     def test_rl013_leaves_other_modules_alone(self, tmp_path, monkeypatch):
-        """Operators, the row sources and the line-level format API
+        """Operators, ``ColumnRows`` and the line-level format API
         read region objects by definition."""
         package = self.scoped(tmp_path, monkeypatch)
         for module in ("formats/bed.py", "gdm/sample.py", "store/persist.py"):

@@ -1,18 +1,23 @@
-"""Blocks and value columns travel with the region list.
+"""The column view, blocks and value columns travel with the region list.
 
 What the store derives from a sample's regions is memoised on the
 :class:`~repro.gdm.sample.RegionList` itself, so operators that hand a
 list through unchanged hand on its blocks, a derived operand costs no
 rebuild, and the residency ledger's charges live exactly as long as the
-lists that own them.
+lists that own them.  Everything is read from the list's one column
+view, built by a single walk over its region objects.
 """
 
 import gc
 import pickle
 import sys
 import threading
+from collections import Counter
 
+import numpy as np
 import pytest
+
+import repro.store.columnar as store_columnar
 
 from repro.engine.context import ExecutionContext
 from repro.formats import read_dataset, write_dataset
@@ -25,7 +30,7 @@ from repro.gdm import (
     renumber,
     results_digest,
 )
-from repro.gdm.sample import ColumnRows
+from repro.gdm.sample import ColumnRows, region_list_columns
 from repro.gmql import operators as ops
 from repro.gmql.aggregates import Count
 from repro.gmql.lang import execute
@@ -177,6 +182,109 @@ class TestSharing:
         first = region_column(plain, "left")
         assert first.values == [r.left for r in sample.regions]
         assert region_column(plain, "left") is not first
+
+
+class TestOneColumnView:
+    def test_a_region_list_has_one_memoised_view(self):
+        sample = next(iter(make_sources()["ENCODE"]))
+        view = sample.columns()
+        assert isinstance(view, ColumnRows)
+        assert sample.columns() is view
+        assert sample.with_id(9).columns() is view
+        assert region_memo(sample.regions).view is view
+        assert [tuple(row) for row in view.rows(sample.id)] == list(
+            sample.rows()
+        )
+
+    def test_digest_blocks_and_map_avg_walk_each_list_once(
+        self, monkeypatch
+    ):
+        walked = []
+
+        def counting(regions):
+            walked.append(id(regions))
+            return region_list_columns(regions)
+
+        monkeypatch.setattr(store_columnar, "region_list_columns", counting)
+        sources = make_sources()
+        encode = sources["ENCODE"]
+        encode.store().digest()
+        for sample in encode:
+            encode.store().blocks(sample)
+        run(
+            PROMS + "R = MAP(m AS AVG(p_value)) PROMS ENCODE;\n"
+            "MATERIALIZE R;\n",
+            sources,
+        )
+        assert walked
+        assert set(Counter(walked).values()) == {1}
+        assert {id(sample.regions) for sample in encode} <= set(walked)
+
+    def test_a_region_list_and_its_column_born_copy_are_the_same_rows(
+        self, tmp_path
+    ):
+        sources = make_sources()
+        encode = sources["ENCODE"]
+        write_dataset(encode, str(tmp_path / "ENCODE"))
+        copy = read_dataset(str(tmp_path / "ENCODE"), "ENCODE")
+        assert all(isinstance(s.held_rows(), RegionList) for s in encode)
+        assert all(isinstance(s.held_rows(), ColumnRows) for s in copy)
+        assert copy.store().digest() == encode.store().digest()
+        for ours, theirs in zip(encode, copy):
+            a, b = encode.store().blocks(ours), copy.store().blocks(theirs)
+            assert list(a.chroms) == list(b.chroms)
+            for chrom, block in a.chroms.items():
+                other = b.chroms[chrom]
+                for name in ("starts", "stops", "strands", "index"):
+                    assert np.array_equal(
+                        getattr(block, name), getattr(other, name)
+                    )
+                assert np.array_equal(
+                    a.zone_map.entry(chrom).bins,
+                    b.zone_map.entry(chrom).bins,
+                )
+        assert results_digest({"E": copy}) == results_digest({"E": encode})
+        assert run(unique_program(2), {**sources, "ENCODE": copy}) == run(
+            unique_program(2), sources
+        )
+
+
+RAGGED_PROGRAMS = {
+    "select": "R = SELECT(region: score > 0) RAGGED;",
+    "map": "R = MAP(n AS COUNT, top AS MAX(score)) GOOD RAGGED;",
+    "join": "R = JOIN(DLE(100); output: CAT) RAGGED GOOD;",
+}
+
+
+def ragged_sources() -> dict:
+    schema = RegionSchema.of(("score", "INT"), ("name", "STR"))
+    good = Dataset("GOOD", schema, [Sample(1, [
+        GenomicRegion("chr1", 10 * i, 10 * i + 15, "+", (i, f"g{i}"))
+        for i in range(8)
+    ])])
+    ragged = Dataset("RAGGED", schema, [
+        Sample(1, [GenomicRegion("chr1", 5, 30, "*", (2, "a")),
+                   GenomicRegion("chr1", 40, 45, "-", (3, "c", 9))]),
+        Sample(2, [GenomicRegion("chr1", 0, 100, "*", (1, "b"))]),
+    ], validate=False)
+    return {"GOOD": good, "RAGGED": ragged}
+
+
+@pytest.mark.parametrize("name", sorted(RAGGED_PROGRAMS))
+def test_an_operand_with_ragged_rows_runs_on_the_naive_kernels(name):
+    program = RAGGED_PROGRAMS[name] + " MATERIALIZE R;"
+    sources = ragged_sources()
+    assert next(iter(sources["RAGGED"])).columns() is None
+    got = execute(program, sources, engine="columnar")["R"]
+    expected = execute(program, ragged_sources(), engine="naive")["R"]
+    assert len(got) == len(expected) > 0
+    assert [repr(row) for row in got.region_rows()] == [
+        repr(row) for row in expected.region_rows()
+    ]
+    assert not any(
+        record.parameters.startswith("columnar")
+        for record in got.provenance
+    )
 
 
 class TestPickling:

@@ -326,11 +326,11 @@ class TestColumnEntries:
                        engine="columnar")["R"]
 
     def test_put_materialises_no_row(self, tmp_path):
-        from repro.gdm.sample import RowSource
+        from repro.gdm.sample import ColumnRows
         from repro.store import store_counters
 
         dataset = self.cover_result()
-        assert all(isinstance(s.held_rows(), RowSource) for s in dataset)
+        assert all(isinstance(s.held_rows(), ColumnRows) for s in dataset)
         cache = ResultCache(capacity=4, directory=str(tmp_path))
         before = store_counters()["rows_materialised"]
         cache.put("fp", dataset)
