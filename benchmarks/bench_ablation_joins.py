@@ -1,19 +1,14 @@
-"""E14 (ablation): interval-join strategies -- tree vs sweep vs searchsorted.
+"""E14 (ablation): interval-join kernels -- tree vs searchsorted.
 
 DESIGN.md calls out the choice of overlap kernel as a design decision;
-this ablation measures the three implementations on uniform and clustered
-workloads, where the crossover between index-probe and streaming
-strategies lives.
+this ablation measures the two kernels the engines run on uniform and
+clustered workloads: the naive engine's interval tree and the store's
+searchsorted kernel behind every other engine.  Both must agree.
 """
 
 import pytest
 
-from repro.intervals import (
-    GenomeIndex,
-    binned_count_overlaps,
-    sweep_count_overlaps,
-)
-from repro.intervals.bins import DEFAULT_BIN_SIZE
+from repro.intervals import DEFAULT_BIN_SIZE, GenomeIndex
 from repro.simulate import region_sample
 from repro.store import SampleBlocks, count_overlaps_blocks
 
@@ -48,13 +43,6 @@ def test_interval_tree(benchmark, workload):
     benchmark.extra_info["total_overlaps"] = sum(counts)
 
 
-def test_sweep(benchmark, workload):
-    shape, references, probes = workload
-    benchmark.group = f"join-{shape}"
-    counts = benchmark(sweep_count_overlaps, references, probes)
-    benchmark.extra_info["total_overlaps"] = sum(counts)
-
-
 def test_searchsorted(benchmark, workload):
     shape, references, probes = workload
     benchmark.group = f"join-{shape}"
@@ -62,18 +50,8 @@ def test_searchsorted(benchmark, workload):
     benchmark.extra_info["total_overlaps"] = sum(counts)
 
 
-def test_binned(benchmark, workload):
-    shape, references, probes = workload
-    benchmark.group = f"join-{shape}"
-    counts = benchmark(binned_count_overlaps, references, probes, 50_000)
-    benchmark.extra_info["total_overlaps"] = sum(counts)
-
-
-def test_all_strategies_agree(workload):
+def test_kernels_agree(workload):
     __, references, probes = workload
-    assert (
-        _tree_counts(references, probes)
-        == sweep_count_overlaps(references, probes)
-        == _vector_counts(references, probes)
-        == binned_count_overlaps(references, probes, 50_000)
+    assert _tree_counts(references, probes) == _vector_counts(
+        references, probes
     )

@@ -2,7 +2,8 @@
 
 The paper's ref [10] compared Flink and Spark "on three genomic queries
 inspired by GMQL"; our analog compares the naive record-at-a-time engine,
-the columnar numpy engine, the binned process-pool engine, and the
+the columnar numpy engine, the process-pool engine (the same kernels run
+per unit and chromosome on worker processes), and the
 cost-routed ``auto`` engine on three GMQL queries of the same families:
 a MAP count, a COVER over replicates, and a genometric JOIN.  One
 logical plan, four backends -- only the operator encodings (and, for

@@ -75,42 +75,15 @@ class Backend:
 
         return bin_size_from_env()
 
-    def store_root(self) -> str | None:
-        """The persistent store root for this run (context, then process).
-
-        Per-run override via ``config={"store_dir": ...}`` (the CLI
-        ``--store-dir`` flag lands there); falls back to the process
-        default (:func:`repro.store.persist.store_root`).  ``None``
-        keeps the storage layer purely in-memory.
-        """
-        if self._context is not None:
-            configured = self._context.config.get("store_dir")
-            if configured is not None:
-                return str(configured) or None
-        from repro.store.persist import store_root
-
-        return store_root()
-
-    def store_sync(self) -> bool | None:
-        """Persist mode override (``config={"store_sync": bool}``)."""
-        if self._context is not None:
-            configured = self._context.config.get("store_sync")
-            if configured is not None:
-                return bool(configured)
-        return None
-
     def dataset_store(self, dataset: Dataset, bin_size: int | None = None):
         """The dataset's columnar store resolved through this backend.
 
-        The one place run-scoped storage configuration (bin size, store
-        root, persist mode) meets :meth:`Dataset.store`; every kernel
-        obtains stores through here so a ``--store-dir`` flag reaches
-        all of them without per-operator plumbing.
+        The one place the run's bin size meets :meth:`Dataset.store`,
+        which resolves the process store root and persist mode itself
+        (see :func:`repro.store.persist.set_store_root`).
         """
         return dataset.store(
-            bin_size if bin_size is not None else self.store_bin_size(),
-            root=self.store_root(),
-            sync=self.store_sync(),
+            bin_size if bin_size is not None else self.store_bin_size()
         )
 
     def note_pruned(self, partitions: int) -> None:

@@ -71,7 +71,6 @@ import numpy as np
 
 from repro.gdm import Dataset
 from repro.gdm.sample import ColumnRows, listed, take_column
-from repro.intervals.coverage import CoverageSegment
 from repro.engine.naive import NaiveBackend
 from repro.gmql.aggregates import Avg, Bag, Count, Max, Median, Min, Std, Sum
 from repro.gmql.genometric import Downstream, Upstream
@@ -91,7 +90,6 @@ from repro.gmql.predicates import (
 from repro.store.columnar import (
     chromosome_ranks,
     count_morsels,
-    depth_segments,
     genome_order,
     live_block_pairs,
     overlap_counts,
@@ -116,34 +114,6 @@ from repro.store.join_kernels import (
 #: Integer magnitudes above which vectorised int64 reductions could
 #: overflow or lose exactness; columns exceeding it take the Python path.
 _SAFE_INT_MAGNITUDE = 2**52
-
-
-def coverage_segments_from_blocks(blocks_list: list):
-    """Depth profile of a sample group straight from store blocks.
-
-    Concatenates each chromosome's event arrays across the group's
-    :class:`~repro.store.columnar.SampleBlocks` (dropping zero-length
-    regions, which contribute no coverage) and sweeps them with the
-    shared numpy kernel; yields :class:`CoverageSegment` in genome
-    order.
-    """
-    from repro.gdm import chromosome_sort_key
-
-    events: dict = {}
-    for blocks in blocks_list:
-        for chrom, block in blocks.chroms.items():
-            wide = block.stops > block.starts
-            if not wide.any():
-                continue
-            bucket = events.setdefault(chrom, ([], []))
-            bucket[0].append(block.starts[wide])
-            bucket[1].append(block.stops[wide])
-    for chrom in sorted(events, key=chromosome_sort_key):
-        starts_list, stops_list = events[chrom]
-        starts = np.concatenate(starts_list)
-        stops = np.concatenate(stops_list)
-        for left, right, depth in depth_segments(chrom, starts, stops):
-            yield CoverageSegment(chrom, left, right, depth)
 
 
 def _conjuncts(predicate) -> list:

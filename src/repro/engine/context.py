@@ -8,7 +8,7 @@ cancellation before each kernel.  ``repro explain --analyze`` and
 
 The context is deliberately backend-agnostic: it carries no datasets and
 no plan objects, only observability state and configuration (worker
-count, arbitrary engine options), so it can be threaded through every
+count, bin size, result-cache switch), so it can be threaded through every
 layer without creating import cycles.
 """
 
@@ -50,14 +50,6 @@ def bin_size_from_env(default: int | None = None) -> int | None:
     return value if value >= 1 else default
 
 
-def result_cache_from_env(default: bool = False) -> bool:
-    """Whether ``REPRO_RESULT_CACHE_ENABLED`` turns the result cache on."""
-    raw = os.environ.get("REPRO_RESULT_CACHE_ENABLED", "").strip().lower()
-    if not raw:
-        return default
-    return raw in ("1", "true", "yes", "on")
-
-
 @dataclass
 class Span:
     """One timed region of execution, nested under its parent span."""
@@ -75,10 +67,6 @@ class Span:
     def self_seconds(self) -> float:
         """Time spent in this span outside its nested child spans."""
         return self.seconds - sum(child.seconds for child in self.children)
-
-    def total_regions(self, key: str = "output_regions") -> int:
-        """Convenience accessor for a cardinality attribute (0 when unset)."""
-        return int(self.attributes.get(key, 0) or 0)
 
     def render(self, indent: int = 0) -> str:
         """Indented one-span-per-line rendering of this subtree."""
@@ -171,11 +159,8 @@ class ExecutionContext:
         otherwise the store's default.
     result_cache:
         Whether the interpreter may serve plan nodes from the
-        process-wide fingerprint result cache; defaults to the
-        ``REPRO_RESULT_CACHE_ENABLED`` environment variable (off when
-        unset -- the CLI and the query server turn it on explicitly).
-    config:
-        Free-form engine options (forwarded to backends untouched).
+        process-wide fingerprint result cache; off by default (the CLI
+        and the query server turn it on explicitly).
     clock:
         Any object with a ``monotonic()`` method (e.g. a resilience
         :class:`~repro.resilience.clock.SimulatedClock`); defaults to
@@ -191,8 +176,7 @@ class ExecutionContext:
         timeout_seconds: float | None = None,
         workers: int | None = None,
         bin_size: int | None = None,
-        result_cache: bool | None = None,
-        config: dict | None = None,
+        result_cache: bool = False,
         clock=None,
     ) -> None:
         self.tracer = tracer or SpanTracer()
@@ -201,12 +185,7 @@ class ExecutionContext:
         self.bin_size = (
             bin_size if bin_size is not None else bin_size_from_env()
         )
-        self.result_cache = (
-            result_cache
-            if result_cache is not None
-            else result_cache_from_env()
-        )
-        self.config = dict(config or {})
+        self.result_cache = result_cache
         self._clock = clock
         self._deadline = (
             self._now() + timeout_seconds

@@ -189,7 +189,8 @@ class Dataset:
 
         Returns a :class:`~repro.store.columnar.DatasetStore`: per-sample
         struct-of-arrays blocks, zone maps and the content digest.  One
-        store is kept per requested (bin size, store root); adding a
+        store is kept per resolved (bin size, store root) -- ``None``
+        and the default bin size name the same store; adding a
         sample invalidates all of them, so stores always describe
         current content.  Per-sample blocks themselves are memoised on
         the samples' region lists, so a dataset sharing lists with
@@ -203,14 +204,16 @@ class Dataset:
         *sync* fixes the persist mode for a newly created store
         (ignored on memo hits, which keep their original mode).
         """
+        from repro.intervals.bins import DEFAULT_BIN_SIZE
         from repro.store.columnar import DatasetStore
         from repro.store.persist import store_root
 
+        resolved_bin_size = int(bin_size or DEFAULT_BIN_SIZE)
         resolved_root = root if root is not None else store_root()
-        key = (bin_size or 0, resolved_root)
+        key = (resolved_bin_size, resolved_root)
         store = self._stores.get(key)
         if store is None:
-            store = DatasetStore(self, bin_size, root=resolved_root,
+            store = DatasetStore(self, resolved_bin_size, root=resolved_root,
                                  sync=sync)
             self._stores[key] = store
         return store

@@ -324,10 +324,6 @@ class Sample:
             return regions.chromosome_runs()
         return chromosome_runs(regions)
 
-    def regions_on(self, chrom: str) -> list:
-        """Regions lying on the given chromosome, in stored order."""
-        return [region for region in self.regions if region.chrom == chrom]
-
     def rows(self) -> Iterator[tuple]:
         """Iterate the GDM region rows ``(id, chrom, left, right, strand, v...)``.
 
@@ -402,10 +398,6 @@ class Sample:
     ) -> "Sample":
         """Copy with every region passed through *transform*."""
         return self.with_regions([transform(region) for region in self.regions])
-
-    def values_of(self, index: int) -> list:
-        """The *index*-th variable value of every region (aggregate input)."""
-        return [region.values[index] for region in self.regions]
 
     def __repr__(self) -> str:
         return (

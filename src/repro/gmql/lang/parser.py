@@ -83,12 +83,9 @@ class Parser:
             raise self._error(f"expected {word}")
         return self._advance()
 
-    def _expect_name(self) -> str:
-        """An operand/attribute name: IDENT, or a keyword used as a name."""
-        return self._expect_name_token()[0]
-
     def _expect_name_token(self) -> tuple:
-        """``(name, token)`` for a name, keeping the position."""
+        """``(name, token)`` for an operand/attribute name: IDENT, or a
+        keyword used as a name."""
         token = self._peek()
         if token.kind in (IDENT, KEYWORD):
             self._advance()

@@ -1,16 +1,14 @@
-"""Interval algebra substrate: trees, sweeps, coverage, distances, bins.
+"""Interval algebra substrate: trees, coverage, distances, bins.
 
-Every genometric GMQL operator bottoms out in one of these kernels; the
-engines in :mod:`repro.engine` choose between them (interval tree vs
-sort-merge sweep vs binned partitioning) per operator and data shape.
+These are the scalar, region-at-a-time kernels of the naive engine, the
+oracle every other engine is differentially tested against: the interval
+tree answers MAP and DIFFERENCE overlaps, the coverage sweep answers COVER
+and its variants, and the distance index answers JOIN's genometric
+predicates.  The other engines run the vectorised kernels of
+:mod:`repro.store` instead; one kernel per job, no strategy choice.
 """
 
-from repro.intervals.bins import (
-    Binning,
-    DEFAULT_BIN_SIZE,
-    bin_span,
-    binned_count_overlaps,
-)
+from repro.intervals.bins import DEFAULT_BIN_SIZE, bin_span
 from repro.intervals.coverage import (
     AccumulationBound,
     CoverageSegment,
@@ -18,6 +16,7 @@ from repro.intervals.coverage import (
     coverage_profile,
     flat_intervals,
     histogram_intervals,
+    merge_touching,
     summit_intervals,
 )
 from repro.intervals.distance import (
@@ -27,23 +26,16 @@ from repro.intervals.distance import (
     is_upstream,
     stream_pair_mask,
 )
-from repro.intervals.sweep import (
-    merge_touching,
-    sweep_count_overlaps,
-    sweep_overlap_join,
-)
 from repro.intervals.tree import GenomeIndex, IntervalTree
 
 __all__ = [
     "AccumulationBound",
-    "Binning",
     "CoverageSegment",
     "DEFAULT_BIN_SIZE",
     "GenomeIndex",
     "IntervalTree",
     "NearestIndex",
     "bin_span",
-    "binned_count_overlaps",
     "cover_intervals",
     "coverage_profile",
     "distance",
@@ -54,6 +46,4 @@ __all__ = [
     "merge_touching",
     "stream_pair_mask",
     "summit_intervals",
-    "sweep_count_overlaps",
-    "sweep_overlap_join",
 ]

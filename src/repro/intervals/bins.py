@@ -1,19 +1,13 @@
-"""Genomic binning: the partitioning scheme of the parallel engine.
+"""Genomic bins: the fixed-width grid of the store's zone maps.
 
-Spark/Flink GMQL implementations shard the genome into fixed-width bins so
-region operations parallelise by (chromosome, bin) key.  We reproduce the
-same scheme: :func:`bin_span` maps an interval to the bins it touches, and
-:class:`Binning` assigns regions to partitions, replicating boundary-crossing
-regions into every bin they touch (with the convention that a pair is
-*reported* only in the bin containing the leftmost overlap position, so
-joins never double count).
+The columnar store groups each chromosome's regions into fixed-width bins
+(:data:`DEFAULT_BIN_SIZE` wide) so zone maps can prune bins no query
+interval reaches.  :func:`bin_span` is the scalar statement of which bins
+an interval touches; the store's vectorised ``occupied_bins`` is tested
+against it.
 """
 
 from __future__ import annotations
-
-from typing import Iterator, Sequence
-
-from repro.gdm.region import GenomicRegion
 
 #: Default bin width, matching the magnitude used by GMQL implementations.
 DEFAULT_BIN_SIZE = 100_000
@@ -31,97 +25,3 @@ def bin_span(left: int, right: int, bin_size: int) -> range:
         raise ValueError(f"bin size must be positive, got {bin_size}")
     last = max(right - 1, left)
     return range(left // bin_size, last // bin_size + 1)
-
-
-class Binning:
-    """Assigns regions of one genome to (chromosome, bin) partitions."""
-
-    __slots__ = ("bin_size",)
-
-    def __init__(self, bin_size: int = DEFAULT_BIN_SIZE) -> None:
-        if bin_size <= 0:
-            raise ValueError(f"bin size must be positive, got {bin_size}")
-        self.bin_size = bin_size
-
-    def partition(
-        self, regions: Sequence[GenomicRegion]
-    ) -> dict:
-        """Group regions by ``(chrom, bin_index)``, replicating spanners.
-
-        Returns ``{(chrom, bin): [regions...]}``.  A region spanning k bins
-        appears in all k groups.
-        """
-        partitions: dict = {}
-        for region in regions:
-            for index in bin_span(region.left, region.right, self.bin_size):
-                partitions.setdefault((region.chrom, index), []).append(region)
-        return partitions
-
-    def owns_pair(
-        self, bin_key: tuple, a: GenomicRegion, b: GenomicRegion
-    ) -> bool:
-        """True when *bin_key* is the reporting bin for the pair ``(a, b)``.
-
-        The reporting bin is the one containing the leftmost position of
-        the overlap (or, for disjoint pairs considered by distal joins,
-        the leftmost position of the gap's left flank).  Each pair has
-        exactly one reporting bin, so partition-local joins can emit
-        without global deduplication.
-
-        For overlapping pairs the anchor ``max(a.left, b.left)`` lies
-        inside the overlap, so both regions touch the reporting bin.
-        For disjoint pairs that anchor would fall in a bin the left
-        flank may never touch (it can even span *several* bins past the
-        flank's end), so the anchor is the left flank's own leftmost
-        position instead -- the flank being the region that ends first,
-        ties broken by start.
-        """
-        chrom, index = bin_key
-        if a.chrom != chrom or b.chrom != chrom:
-            return False
-        if a.left < b.right and b.left < a.right:
-            anchor = max(a.left, b.left)
-        elif (a.right, a.left) <= (b.right, b.left):
-            anchor = a.left
-        else:
-            anchor = b.left
-        return anchor // self.bin_size == index
-
-    def bins_for(self, region: GenomicRegion) -> Iterator[tuple]:
-        """Yield the ``(chrom, bin)`` keys a region belongs to."""
-        for index in bin_span(region.left, region.right, self.bin_size):
-            yield (region.chrom, index)
-
-
-def binned_count_overlaps(
-    references: Sequence[GenomicRegion],
-    probes: Sequence[GenomicRegion],
-    bin_size: int = DEFAULT_BIN_SIZE,
-) -> list:
-    """Count overlapping probes per reference via genome binning.
-
-    This is the distributed-GMQL strategy in miniature: both sides are
-    partitioned into (chromosome, bin) groups, pairs are enumerated
-    bin-locally, and the reporting-bin rule (:meth:`Binning.owns_pair`)
-    guarantees each pair is counted exactly once even when both regions
-    span several bins.  Returns counts aligned with the input order of
-    *references*.
-    """
-    binning = Binning(bin_size)
-    counts = [0] * len(references)
-    ref_partitions: dict = {}
-    for position, region in enumerate(references):
-        for key in binning.bins_for(region):
-            ref_partitions.setdefault(key, []).append((region, position))
-    probe_partitions = binning.partition(probes)
-    for key, indexed_refs in ref_partitions.items():
-        bin_probes = probe_partitions.get(key)
-        if not bin_probes:
-            continue
-        for region, position in indexed_refs:
-            for probe in bin_probes:
-                if region.overlaps(probe) and binning.owns_pair(
-                    key, region, probe
-                ):
-                    counts[position] += 1
-    return counts

@@ -249,3 +249,37 @@ def flat_intervals(
                 flat_left = min(flat_left, region.left)
                 flat_right = max(flat_right, region.right)
         yield (chrom, flat_left, flat_right, max_depth, base_count)
+
+
+def merge_touching(
+    regions: Sequence[GenomicRegion], gap: int = 0
+) -> list:
+    """Merge regions closer than *gap* positions into maximal runs.
+
+    Output regions carry no variable values (schema is reset by merging,
+    as in GMQL COVER/FLAT results before aggregates are attached).
+    Strand is preserved when all merged regions agree, ``"*"`` otherwise.
+    """
+    grouped: dict = {}
+    for region in regions:
+        grouped.setdefault(region.chrom, []).append(region)
+    merged: list = []
+    for chrom in sorted(grouped, key=chromosome_sort_key):
+        run_left = run_right = None
+        run_strand = None
+        for region in sorted(grouped[chrom], key=lambda r: (r.left, r.right)):
+            if run_left is None:
+                run_left, run_right = region.left, region.right
+                run_strand = region.strand
+                continue
+            if region.left <= run_right + gap:
+                run_right = max(run_right, region.right)
+                if run_strand != region.strand:
+                    run_strand = "*"
+            else:
+                merged.append(GenomicRegion(chrom, run_left, run_right, run_strand))
+                run_left, run_right = region.left, region.right
+                run_strand = region.strand
+        if run_left is not None:
+            merged.append(GenomicRegion(chrom, run_left, run_right, run_strand))
+    return merged

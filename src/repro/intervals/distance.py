@@ -139,23 +139,3 @@ class NearestIndex:
         ]
         scored.sort(key=lambda item: item[:3])
         return [(item[3], item[0]) for item in scored[:k]]
-
-    def nearest_upstream(
-        self, anchor: GenomicRegion, k: int = 1
-    ) -> list:
-        """The *k* nearest regions upstream of *anchor* (strand-aware)."""
-        return [
-            (region, gap)
-            for region, gap in self.nearest(anchor, k=len(self))
-            if is_upstream(anchor, region)
-        ][:k]
-
-    def nearest_downstream(
-        self, anchor: GenomicRegion, k: int = 1
-    ) -> list:
-        """The *k* nearest regions downstream of *anchor* (strand-aware)."""
-        return [
-            (region, gap)
-            for region, gap in self.nearest(anchor, k=len(self))
-            if is_downstream(anchor, region)
-        ][:k]

@@ -3,8 +3,9 @@
 GMQL's MAP, JOIN and DIFFERENCE operators all reduce to interval overlap
 queries.  :class:`IntervalTree` is a classic centered interval tree built
 once over an immutable region list; :class:`GenomeIndex` shards one tree per
-chromosome.  A sort-merge alternative lives in :mod:`repro.intervals.sweep`;
-the ablation benchmark E14 compares them.
+chromosome.  They serve the naive engine; the other engines answer the
+same queries with the store's searchsorted kernels, and the ablation
+benchmark E14 checks and times the two against each other.
 
 Overlap semantics match :meth:`repro.gdm.region.GenomicRegion.overlaps`:
 half-open intervals with the plain formula, so zero-length point features
@@ -132,10 +133,6 @@ class IntervalTree:
                     stack.append(node.less)
                 if node.greater is not None:
                     stack.append(node.greater)
-
-    def query_region(self, region: GenomicRegion) -> Iterator[GenomicRegion]:
-        """Yield stored regions overlapping *region* (chromosome unchecked)."""
-        return self.query(region.left, region.right)
 
     def stab(self, position: int) -> Iterator[GenomicRegion]:
         """Yield stored regions covering the single genomic *position*."""

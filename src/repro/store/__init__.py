@@ -54,7 +54,6 @@ from repro.store.columnar import (
     chromosome_ranks,
     count_morsels,
     count_overlaps_blocks,
-    depth_segments,
     genome_order,
     live_block_pairs,
     occupied_bins,
@@ -128,7 +127,6 @@ __all__ = [
     "count_morsels",
     "count_overlaps_blocks",
     "coverage_runs",
-    "depth_segments",
     "expand_windows",
     "flat_extents",
     "genome_order",

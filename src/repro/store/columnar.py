@@ -787,35 +787,6 @@ def count_overlaps_blocks(
     return counts, pruned
 
 
-def depth_segments(
-    chrom: str, starts: np.ndarray, stops: np.ndarray
-) -> Iterator[tuple]:
-    """Depth profile of event arrays: yields ``(left, right, depth)``.
-
-    The numpy event sweep the COVER kernels share: +1 at every start, -1
-    at every stop, positions collapsed and depths accumulated.  Only
-    segments with positive depth are emitted.  Zero-length intervals
-    must be filtered by the caller (they contribute no coverage).
-    """
-    n = int(starts.size)
-    if n == 0:
-        return
-    positions = np.concatenate([starts, stops])
-    deltas = np.empty(2 * n, dtype=np.int64)
-    deltas[:n] = 1
-    deltas[n:] = -1
-    order = np.argsort(positions, kind="stable")
-    positions = positions[order]
-    deltas = deltas[order]
-    unique_positions, first_at = np.unique(positions, return_index=True)
-    depths = np.cumsum(np.add.reduceat(deltas, first_at))
-    for i in range(len(unique_positions) - 1):
-        depth = int(depths[i])
-        if depth > 0:
-            yield (int(unique_positions[i]), int(unique_positions[i + 1]),
-                   depth)
-
-
 #: ``str(n)`` for the string lengths :func:`_update_strings` meets most.
 _LENGTH_TEXT = tuple(map(str, range(256)))
 

@@ -109,9 +109,8 @@ def set_store_root(path: str | None, sync: bool | None = None) -> None:
 
     The CLI ``--store-dir`` flag lands here.  *sync*, when given, also
     fixes the persist mode: ``True`` persists synchronously on first
-    build (short-lived CLI processes must not exit mid-background-write),
-    ``False`` forces background persistence, ``None`` leaves the
-    ``REPRO_STORE_SYNC`` environment default in charge.
+    build (short-lived CLI processes must not exit mid-background-write);
+    ``False`` or ``None`` keeps the default, background persistence.
     """
     global _CONFIGURED_ROOT, _CONFIGURED_SYNC
     _CONFIGURED_ROOT = str(path) if path else None
@@ -134,21 +133,12 @@ def store_root() -> str | None:
 def persist_sync_default() -> bool:
     """Whether persistence should run synchronously by default.
 
-    ``REPRO_STORE_SYNC=1`` (or a ``set_store_root(..., sync=True)``)
-    makes the first in-memory build block until segments are on disk --
-    what short-lived processes and deterministic tests want.  The
-    default is background persistence: queries never wait on the disk.
+    ``set_store_root(..., sync=True)`` makes the first in-memory build
+    block until segments are on disk -- what short-lived processes and
+    deterministic tests want.  The default is background persistence:
+    queries never wait on the disk.
     """
-    if _CONFIGURED_SYNC is not None:
-        return _CONFIGURED_SYNC
-    return persist_sync_from_env()
-
-
-def persist_sync_from_env() -> bool:
-    """Whether ``REPRO_STORE_SYNC`` asks for synchronous persistence."""
-    return os.environ.get("REPRO_STORE_SYNC", "").strip() in (
-        "1", "true", "yes", "on"
-    )
+    return bool(_CONFIGURED_SYNC)
 
 
 def store_directory(root: str | os.PathLike, digest: str, bin_size: int) -> Path:
@@ -399,13 +389,6 @@ class PersistedStore:
         )
 
 
-def open_store(
-    root: str | os.PathLike, digest: str, bin_size: int
-) -> PersistedStore | None:
-    """Convenience alias for :meth:`PersistedStore.open`."""
-    return PersistedStore.open(root, digest, bin_size)
-
-
 # -- the mmap handle protocol ---------------------------------------------------
 
 
@@ -640,15 +623,6 @@ class ResidencyLedger:
             token = (serial, key)
             if serial is not None and token in self._entries:
                 self._entries.move_to_end(token)
-
-    def discharge(self, owner, key) -> None:
-        """Drop a charge without eviction (owner released it itself)."""
-        with self._lock:
-            self._reap()
-            serial = self._serial(owner, register=False)
-            if serial is not None:
-                self._owners[serial][2].discard(key)
-                self._resident -= self._entries.pop((serial, key), 0)
 
     def _enforce(self, exempt) -> None:
         if self.budget_bytes is None:

@@ -3,14 +3,11 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.columnar import (
-    _vectorise_predicate,
-    coverage_segments_from_blocks,
-)
-from repro.gdm import FLOAT, GenomicRegion, RegionSchema, STR
+from repro.engine.columnar import _vectorise_predicate
+from repro.gdm import FLOAT, GenomicRegion, RegionSchema, STR, chromosome_sort_key
 from repro.gmql.predicates import RegionCompare
 from repro.intervals import coverage_profile
-from repro.store import SampleBlocks, count_overlaps_blocks
+from repro.store import SampleBlocks, count_overlaps_blocks, sweep_profile
 
 BIN = 64
 
@@ -59,10 +56,19 @@ class TestVectorisedCoverage:
             (s.chrom, s.left, s.right, s.depth)
             for s in coverage_profile(regions)
         ]
-        vectorised = [
-            (s.chrom, s.left, s.right, s.depth)
-            for s in coverage_segments_from_blocks([blocks(regions)])
-        ]
+        vectorised = []
+        chroms = blocks(regions).chroms
+        for chrom in sorted(chroms, key=chromosome_sort_key):
+            block = chroms[chrom]
+            wide = block.stops > block.starts
+            bounds, depths = sweep_profile(
+                block.starts[wide], block.stops[wide]
+            )
+            vectorised.extend(
+                (chrom, int(bounds[i]), int(bounds[i + 1]), int(depths[i]))
+                for i in range(bounds.size - 1)
+                if depths[i] > 0
+            )
         assert vectorised == scalar
 
 

@@ -1,11 +1,8 @@
-"""Unit tests for genomic binning (parallel-engine partitioning)."""
+"""Unit tests for the scalar bin span (the store's zone-map grid)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.gdm import GenomicRegion
-from repro.intervals import Binning, bin_span, binned_count_overlaps
+from repro.intervals import bin_span
 
 
 class TestBinSpan:
@@ -25,177 +22,3 @@ class TestBinSpan:
     def test_bad_bin_size(self):
         with pytest.raises(ValueError):
             list(bin_span(0, 10, 0))
-
-
-class TestBinning:
-    def test_partition_replicates_spanners(self):
-        binning = Binning(bin_size=100)
-        region = GenomicRegion("chr1", 50, 250)
-        partitions = binning.partition([region])
-        assert set(partitions) == {("chr1", 0), ("chr1", 1), ("chr1", 2)}
-
-    def test_partition_groups_by_chromosome(self):
-        binning = Binning(bin_size=100)
-        partitions = binning.partition(
-            [GenomicRegion("chr1", 0, 10), GenomicRegion("chr2", 0, 10)]
-        )
-        assert set(partitions) == {("chr1", 0), ("chr2", 0)}
-
-    def test_owns_pair_unique_reporting_bin(self):
-        binning = Binning(bin_size=100)
-        a = GenomicRegion("chr1", 50, 250)
-        b = GenomicRegion("chr1", 150, 350)
-        owning = [
-            key
-            for key in [("chr1", i) for i in range(5)]
-            if binning.owns_pair(key, a, b)
-        ]
-        # The pair's anchor is max(50, 150) = 150 -> bin 1 only.
-        assert owning == [("chr1", 1)]
-
-    def test_owns_pair_rejects_wrong_chromosome(self):
-        binning = Binning(bin_size=100)
-        a = GenomicRegion("chr1", 0, 10)
-        b = GenomicRegion("chr1", 5, 15)
-        assert not binning.owns_pair(("chr2", 0), a, b)
-
-    def test_every_pair_owned_exactly_once(self):
-        binning = Binning(bin_size=64)
-        regions_a = [GenomicRegion("chr1", i * 30, i * 30 + 100) for i in range(10)]
-        regions_b = [GenomicRegion("chr1", i * 45, i * 45 + 80) for i in range(10)]
-        partitions_a = binning.partition(regions_a)
-        partitions_b = binning.partition(regions_b)
-        seen = []
-        for key in set(partitions_a) & set(partitions_b):
-            for a in partitions_a[key]:
-                for b in partitions_b[key]:
-                    if a.overlaps(b) and binning.owns_pair(key, a, b):
-                        seen.append((a.left, b.left))
-        expected = [
-            (a.left, b.left)
-            for a in regions_a
-            for b in regions_b
-            if a.overlaps(b)
-        ]
-        assert sorted(seen) == sorted(expected)
-
-    def test_invalid_bin_size_rejected(self):
-        with pytest.raises(ValueError):
-            Binning(bin_size=-5)
-
-
-class TestOwnsPairDisjoint:
-    """Distal-join pairs: the reporting bin is the gap's left flank."""
-
-    def test_disjoint_pair_anchors_at_left_flank(self):
-        binning = Binning(bin_size=100)
-        a = GenomicRegion("chr1", 20, 60)
-        b = GenomicRegion("chr1", 250, 320)
-        # Documented contract: the leftmost position of the gap's left
-        # flank (position 20 -> bin 0), not max(a.left, b.left) = 250.
-        owning = [
-            index
-            for index in range(5)
-            if binning.owns_pair(("chr1", index), a, b)
-        ]
-        assert owning == [0]
-        # Argument order must not change the reporting bin.
-        assert binning.owns_pair(("chr1", 0), b, a)
-
-    def test_bin_spanning_disjoint_pair_regression(self):
-        # Regression: with the old max-left anchor this pair reported in
-        # bin 2 -- a bin the left flank never touches -- so a
-        # partition-local distal join holding the flank's bins only
-        # would drop the pair entirely.
-        binning = Binning(bin_size=100)
-        flank = GenomicRegion("chr1", 120, 180)       # bin 1 only
-        distal = GenomicRegion("chr1", 230, 460)      # spans bins 2..4
-        assert binning.owns_pair(("chr1", 1), flank, distal)
-        assert not binning.owns_pair(("chr1", 2), flank, distal)
-        flank_bins = {key[1] for key in binning.bins_for(flank)}
-        owner = next(
-            index
-            for index in range(6)
-            if binning.owns_pair(("chr1", index), flank, distal)
-        )
-        assert owner in flank_bins
-
-    def test_touching_pair_is_disjoint(self):
-        # [0, 100) and [100, 200) share no position: gap of zero, the
-        # left flank anchors the pair in bin 0.
-        binning = Binning(bin_size=100)
-        a = GenomicRegion("chr1", 0, 100)
-        b = GenomicRegion("chr1", 100, 200)
-        assert binning.owns_pair(("chr1", 0), a, b)
-        assert not binning.owns_pair(("chr1", 1), a, b)
-
-    def test_zero_length_region_pairs(self):
-        binning = Binning(bin_size=100)
-        point = GenomicRegion("chr1", 150, 150)
-        other = GenomicRegion("chr1", 320, 360)
-        # The zero-length point ends first: it is the left flank.
-        owning = [
-            index
-            for index in range(5)
-            if binning.owns_pair(("chr1", index), point, other)
-        ]
-        assert owning == [1]
-        # A point inside a region takes the overlap path.
-        inside = GenomicRegion("chr1", 100, 400)
-        owning = [
-            index
-            for index in range(5)
-            if binning.owns_pair(("chr1", index), point, inside)
-        ]
-        assert owning == [1]
-
-    @given(
-        st.tuples(st.integers(0, 900), st.integers(0, 90)),
-        st.tuples(st.integers(0, 900), st.integers(0, 90)),
-        st.sampled_from([16, 64, 100]),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_every_pair_has_exactly_one_owner(self, spec_a, spec_b, bin_size):
-        binning = Binning(bin_size=bin_size)
-        a = GenomicRegion("chr1", spec_a[0], spec_a[0] + spec_a[1])
-        b = GenomicRegion("chr1", spec_b[0], spec_b[0] + spec_b[1])
-        owners = [
-            index
-            for index in range(0, 1000 // bin_size + 2)
-            if binning.owns_pair(("chr1", index), a, b)
-        ]
-        assert len(owners) == 1
-        # The owner is always a bin at least one of the pair occupies --
-        # for disjoint pairs, specifically one of the left flank's bins.
-        occupied = {key[1] for key in binning.bins_for(a)} | {
-            key[1] for key in binning.bins_for(b)
-        }
-        assert owners[0] in occupied
-
-
-class TestBinnedCounting:
-    def test_simple_counts(self):
-        references = [GenomicRegion("chr1", 0, 100)]
-        probes = [GenomicRegion("chr1", 50, 60), GenomicRegion("chr1", 200, 210)]
-        assert binned_count_overlaps(references, probes, bin_size=64) == [1]
-
-    def test_spanning_pair_counted_once(self):
-        # Both regions span several 10-position bins; the reporting-bin
-        # rule must count the pair exactly once.
-        references = [GenomicRegion("chr1", 5, 45)]
-        probes = [GenomicRegion("chr1", 0, 50)]
-        assert binned_count_overlaps(references, probes, bin_size=10) == [1]
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 400), st.integers(1, 80)), max_size=25),
-        st.lists(st.tuples(st.integers(0, 400), st.integers(1, 80)), max_size=25),
-        st.sampled_from([16, 64, 100, 1000]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_matches_brute_force(self, ref_spec, probe_spec, bin_size):
-        references = [GenomicRegion("chr1", l, l + w) for l, w in ref_spec]
-        probes = [GenomicRegion("chr1", l, l + w) for l, w in probe_spec]
-        expected = [
-            sum(1 for p in probes if r.overlaps(p)) for r in references
-        ]
-        assert binned_count_overlaps(references, probes, bin_size) == expected

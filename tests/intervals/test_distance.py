@@ -72,20 +72,6 @@ class TestNearestIndex:
         index = NearestIndex(make([(0, 10)]))
         assert len(index.nearest(GenomicRegion("chr1", 100, 200), k=5)) == 1
 
-    def test_nearest_upstream_respects_strand(self):
-        index = NearestIndex(make([(0, 50), (300, 350)]))
-        forward = GenomicRegion("chr1", 100, 200, "+")
-        reverse = GenomicRegion("chr1", 100, 200, "-")
-        up_fwd = index.nearest_upstream(forward, k=1)
-        up_rev = index.nearest_upstream(reverse, k=1)
-        assert up_fwd[0][0].left == 0
-        assert up_rev[0][0].left == 300
-
-    def test_nearest_downstream(self):
-        index = NearestIndex(make([(0, 50), (300, 350)]))
-        anchor = GenomicRegion("chr1", 100, 200, "+")
-        assert index.nearest_downstream(anchor, k=1)[0][0].left == 300
-
     @given(
         st.lists(st.tuples(st.integers(0, 500), st.integers(1, 40)), max_size=30),
         st.integers(0, 500),

@@ -1,92 +1,14 @@
-"""Unit + property tests for sweep joins and merging."""
+"""Unit + property tests for merging touching regions (a sorted sweep)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gdm import GenomicRegion
-from repro.intervals import (
-    merge_touching,
-    sweep_count_overlaps,
-    sweep_overlap_join,
-)
+from repro.intervals import merge_touching
 
 
 def make(intervals, chrom="chr1", strand="*"):
     return [GenomicRegion(chrom, l, r, strand) for l, r in intervals]
-
-
-class TestSweepJoin:
-    def test_simple_pair(self):
-        pairs = list(sweep_overlap_join(make([(0, 10)]), make([(5, 7)])))
-        assert len(pairs) == 1
-
-    def test_no_cross_chromosome_pairs(self):
-        pairs = list(
-            sweep_overlap_join(make([(0, 10)], "chr1"), make([(0, 10)], "chr2"))
-        )
-        assert pairs == []
-
-    def test_unsorted_inputs_accepted(self):
-        lefts = make([(50, 60), (0, 10)])
-        rights = make([(55, 58), (5, 8)])
-        pairs = list(sweep_overlap_join(lefts, rights))
-        assert len(pairs) == 2
-
-    def test_touching_not_joined(self):
-        assert list(sweep_overlap_join(make([(0, 10)]), make([(10, 20)]))) == []
-
-    def test_many_to_many(self):
-        lefts = make([(0, 100), (50, 150)])
-        rights = make([(40, 60), (90, 110)])
-        pairs = list(sweep_overlap_join(lefts, rights))
-        assert len(pairs) == 4
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 50)), max_size=40),
-        st.lists(st.tuples(st.integers(0, 300), st.integers(1, 50)), max_size=40),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_matches_brute_force(self, left_spec, right_spec):
-        lefts = make([(l, l + w) for l, w in left_spec])
-        rights = make([(l, l + w) for l, w in right_spec])
-        expected = sorted(
-            (a.left, a.right, b.left, b.right)
-            for a in lefts
-            for b in rights
-            if a.overlaps(b)
-        )
-        got = sorted(
-            (a.left, a.right, b.left, b.right)
-            for a, b in sweep_overlap_join(lefts, rights)
-        )
-        assert got == expected
-
-
-class TestSweepCount:
-    def test_counts_aligned_with_input_order(self):
-        refs = make([(100, 200), (0, 50)])
-        probes = make([(10, 20), (30, 40), (150, 160)])
-        assert sweep_count_overlaps(refs, probes) == [1, 2]
-
-    def test_zero_counts_for_untouched(self):
-        refs = make([(0, 10)])
-        assert sweep_count_overlaps(refs, make([(20, 30)])) == [0]
-
-    def test_duplicate_reference_objects_counted_separately(self):
-        shared = GenomicRegion("chr1", 0, 10)
-        counts = sweep_count_overlaps([shared, shared], make([(5, 6)]))
-        assert counts == [1, 1]
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 200), st.integers(1, 30)), max_size=30),
-        st.lists(st.tuples(st.integers(0, 200), st.integers(1, 30)), max_size=30),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_counts_match_brute_force(self, ref_spec, probe_spec):
-        refs = make([(l, l + w) for l, w in ref_spec])
-        probes = make([(l, l + w) for l, w in probe_spec])
-        expected = [sum(1 for p in probes if r.overlaps(p)) for r in refs]
-        assert sweep_count_overlaps(refs, probes) == expected
 
 
 class TestMergeTouching:

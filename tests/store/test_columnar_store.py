@@ -5,11 +5,11 @@ import pytest
 
 from repro.gdm import Dataset, GenomicRegion, Metadata, RegionSchema, Sample
 from repro.gdm.schema import AttributeDef, FLOAT
+from repro.intervals import DEFAULT_BIN_SIZE
 from repro.store import (
     DatasetStore,
     SampleBlocks,
     count_overlaps_blocks,
-    depth_segments,
     occupied_bins,
 )
 
@@ -159,21 +159,6 @@ class TestCountOverlapsBlocks:
         assert counts.tolist() == [0]
 
 
-class TestDepthSegments:
-    def test_event_sweep(self):
-        segments = list(
-            depth_segments(
-                "chr1", np.array([0, 10, 20]), np.array([30, 25, 40])
-            )
-        )
-        assert segments == [
-            (0, 10, 1), (10, 20, 2), (20, 25, 3), (25, 30, 2), (30, 40, 1),
-        ]
-
-    def test_empty(self):
-        assert list(depth_segments("chr1", np.array([]), np.array([]))) == []
-
-
 class TestDatasetStore:
     def make(self):
         return dataset(
@@ -195,6 +180,12 @@ class TestDatasetStore:
         ds = self.make()
         assert ds.store() is ds.store()
         assert ds.store(50) is not ds.store()
+
+    def test_default_and_explicit_default_bin_size_share_one_store(self):
+        ds = self.make()
+        implicit = ds.store()
+        assert ds.store(DEFAULT_BIN_SIZE) is implicit
+        assert ds.store(0) is implicit
 
     def test_add_sample_invalidates_store(self):
         ds = self.make()
