@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--workers", type=_positive_int, default=None,
                          metavar="N",
                          help="worker processes for parallel kernels "
-                              "(default: REPRO_WORKERS or CPU-based)")
+                              "(default: CPU-based)")
     run_cmd.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="arm deterministic fault injection for this run, e.g. "
@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent columnar store root: blocks are served from "
              "memory-mapped segments when present and persisted "
              "(synchronously) after a build otherwise; results are "
-             "cached on disk beside it (default: REPRO_STORE_DIR)",
+             "cached on disk beside it (default: in memory only)",
     )
 
     check_cmd = commands.add_parser(
@@ -186,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain_cmd.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help="persistent columnar store root for --analyze runs "
-             "(default: REPRO_STORE_DIR)",
+             "(default: in memory only)",
     )
 
     serve_cmd = commands.add_parser(
@@ -212,8 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(naive/columnar/parallel/auto)")
     serve_cmd.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
-        help="worker processes in the shared pool "
-             "(default: REPRO_WORKERS or CPU-based)",
+        help="worker processes in the shared pool (default: CPU-based)",
     )
     serve_cmd.add_argument(
         "--max-concurrency", type=_positive_int, default=4, metavar="N",
@@ -223,11 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-dir", default=None, metavar="DIR",
         help="persistent columnar store root: blocks and disk-level "
              "result-cache entries survive server restarts "
-             "(default: REPRO_STORE_DIR)",
-    )
-    serve_cmd.add_argument(
-        "--bin-size", type=_positive_int, default=None, metavar="BP",
-        help="zone-map bin size forwarded to every query context",
+             "(default: in memory only)",
     )
     serve_cmd.add_argument(
         "--no-result-cache", action="store_true",
@@ -686,7 +681,6 @@ def _command_serve(args) -> int:
             workers=args.workers,
             store_dir=args.store_dir,
             result_cache_enabled=not args.no_result_cache,
-            bin_size=args.bin_size,
         )
         server = QueryServer(
             state,

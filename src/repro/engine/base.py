@@ -68,12 +68,8 @@ class Backend:
     # -- columnar-store configuration -------------------------------------------
 
     def store_bin_size(self) -> int | None:
-        """Zone-map bin size for this run (context, env, or store default)."""
-        if self._context is not None and self._context.bin_size is not None:
-            return self._context.bin_size
-        from repro.engine.context import bin_size_from_env
-
-        return bin_size_from_env()
+        """Zone-map bin size for this run (``None`` = the store default)."""
+        return self._context.bin_size if self._context is not None else None
 
     def dataset_store(self, dataset: Dataset, bin_size: int | None = None):
         """The dataset's columnar store resolved through this backend.

@@ -14,40 +14,11 @@ layer without creating import cycles.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.errors import ExecutionCancelled
 from repro.resilience.clock import monotonic, perf_counter
-
-
-def workers_from_env(default: int | None = None) -> int | None:
-    """Worker count from ``REPRO_WORKERS`` (``None``/*default* when unset)."""
-    raw = os.environ.get("REPRO_WORKERS", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
-
-
-def bin_size_from_env(default: int | None = None) -> int | None:
-    """Partition bin size from ``REPRO_BIN_SIZE`` (positions per bin).
-
-    Tunes zone-map/partition granularity the same way ``REPRO_WORKERS``
-    tunes parallelism; ``None``/*default* when unset or invalid.
-    """
-    raw = os.environ.get("REPRO_BIN_SIZE", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value >= 1 else default
 
 
 @dataclass
@@ -151,12 +122,11 @@ class ExecutionContext:
         Wall-clock budget; :meth:`check` raises
         :class:`~repro.errors.ExecutionCancelled` once it is exhausted.
     workers:
-        Worker-process count for parallel kernels; defaults to the
-        ``REPRO_WORKERS`` environment variable when set.
+        Worker-process count for parallel kernels; ``None`` leaves it to
+        the backend's CPU-based default.
     bin_size:
         Genome partition granularity (positions per zone-map bin) used
-        by the columnar store; defaults to ``REPRO_BIN_SIZE`` when set,
-        otherwise the store's default.
+        by the columnar store; ``None`` means the store's default.
     result_cache:
         Whether the interpreter may serve plan nodes from the
         process-wide fingerprint result cache; off by default (the CLI
@@ -181,10 +151,8 @@ class ExecutionContext:
     ) -> None:
         self.tracer = tracer or SpanTracer()
         self.metrics = metrics or MetricsRegistry()
-        self.workers = workers if workers is not None else workers_from_env()
-        self.bin_size = (
-            bin_size if bin_size is not None else bin_size_from_env()
-        )
+        self.workers = workers
+        self.bin_size = bin_size
         self.result_cache = result_cache
         self._clock = clock
         self._deadline = (

@@ -37,13 +37,8 @@ _SHIPPED_COUNTERS = ("bytes_shared", "bytes_pickled", "bytes_mapped")
 
 
 def default_workers() -> int:
-    """Worker count when unconfigured: ``REPRO_WORKERS`` env var when set,
-    otherwise the CPU count with headroom left for the parent process."""
-    from repro.engine.context import workers_from_env
-
-    configured = workers_from_env()
-    if configured is not None:
-        return configured
+    """Worker count when unconfigured: the CPU count with headroom left
+    for the parent process."""
     return max(2, min(8, (os.cpu_count() or 2) - 1))
 
 

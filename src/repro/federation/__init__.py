@@ -47,7 +47,6 @@ from repro.federation.shards import (
     dataset_manifest,
     is_chromosome_clustered,
     partition_chromosomes,
-    sample_chrom_runs,
     slice_dataset,
 )
 from repro.federation.transfer import Network, TransferLog
@@ -89,7 +88,6 @@ __all__ = [
     "payload_checksum",
     "place_shards",
     "read_blob_sections",
-    "sample_chrom_runs",
     "serve_node",
     "shard_summaries",
     "slice_dataset",

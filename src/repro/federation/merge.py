@@ -20,7 +20,6 @@ execution on clustered inputs.
 from __future__ import annotations
 
 from repro.errors import FederationError
-from repro.federation.shards import sample_chrom_runs
 from repro.formats.bed import CustomBedFormat, schema_from_header, schema_to_header
 from repro.formats.meta import parse_meta, text_lines
 from repro.gdm import Dataset, Metadata, Sample, chromosome_sort_key
@@ -157,12 +156,14 @@ def merge_partials(partials: list, name: str | None = None) -> Dataset:
         runs: dict = {}
         for partial in partials:
             sample = partial[sample_id]
-            for chrom, start, end in sample_chrom_runs(sample.regions):
+            end = 0
+            for chrom, count in sample.chromosome_runs():
                 if chrom in runs:
                     raise FederationError(
                         f"shard overlap: sample {sample_id} has "
                         f"{chrom!r} regions in two partials"
                     )
+                start, end = end, end + count
                 runs[chrom] = sample.regions[start:end]
         regions = [
             region

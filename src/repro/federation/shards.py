@@ -72,32 +72,11 @@ class ShardManifest:
         return {"clustered": self.clustered, "chroms": self.chrom_stats()}
 
 
-def sample_chrom_runs(regions) -> list:
-    """Consecutive chromosome runs of a region sequence.
-
-    Returns ``[(chrom, start_index, end_index), ...]`` in appearance
-    order; ``regions[start:end]`` is the run.
-    """
-    runs = []
-    current = None
-    start = 0
-    for index, region in enumerate(regions):
-        if region.chrom != current:
-            if current is not None:
-                runs.append((current, start, index))
-            current = region.chrom
-            start = index
-    if current is not None:
-        runs.append((current, start, len(regions)))
-    return runs
-
-
 def is_chromosome_clustered(dataset: Dataset) -> bool:
     """Whether every sample's regions are one run per chromosome, in
     genome order -- the precondition for order-preserving shard merge."""
     for sample in dataset:
-        runs = sample_chrom_runs(sample.regions)
-        chroms = [chrom for chrom, __, __ in runs]
+        chroms = [chrom for chrom, __ in sample.chromosome_runs()]
         if len(set(chroms)) != len(chroms):
             return False
         keys = [chromosome_sort_key(chrom) for chrom in chroms]

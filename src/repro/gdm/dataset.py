@@ -219,17 +219,10 @@ class Dataset:
         return store
 
     def store_stats(self) -> dict:
-        """Aggregate observability counters across all memoised stores."""
-        totals = {
-            "blocks_built": 0,
-            "blocks_mapped": 0,
-            "blocks_evicted": 0,
-            "resident_bytes": 0,
-        }
-        for store in self._stores.values():
-            for name in totals:
-                totals[name] += store.stats()[name]
-        return totals
+        """Residency summed across all memoised stores (block counts are
+        process-wide: :func:`repro.store.columnar.store_counters`)."""
+        resident = sum(store.resident_bytes() for store in self._stores.values())
+        return {"resident_bytes": resident}
 
     # -- pickling -------------------------------------------------------------
 

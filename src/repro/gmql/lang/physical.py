@@ -54,10 +54,6 @@ class PhysicalNode:
     input_regions: float = 0.0              # estimated regions entering
     backend: str = "naive"
     reason: str = ""
-    #: Vectorised kernel the chosen backend is expected to dispatch to
-    #: (``join.window``, ``map.pairs``...); ``None`` for operators whose
-    #: backends have a single code path.
-    kernel: str | None = None
     #: Content-based cache key (``None`` when sources are unavailable at
     #: planning time, which disables result caching for this node).
     fingerprint: str | None = None
@@ -87,8 +83,9 @@ class PhysicalNode:
         )
         actual = self.span.attributes if self.span is not None else {}
         parts = [f"backend={actual.get('backend') or self.backend}"]
-        if self.kernel is not None:
-            parts.append(f"kernel={self.kernel}")
+        if analyze and actual.get("kernel") is not None:
+            # The kernel that ran, as the backend recorded it on the span.
+            parts.append(f"kernel={actual['kernel']}")
         if analyze and self.span is not None:
             parts.append(f"rows={est_regions}->{actual['output_regions']}")
             parts.append(f"samples={actual['output_samples']}")
@@ -243,36 +240,6 @@ def _zone_refinement(node: PlanNode, children: list, datasets: dict):
     return live / total, f"zone maps: {live}/{total} partitions live"
 
 
-def _kernel_hint(node: PlanNode, backend: str) -> str | None:
-    """The vectorised kernel *backend* will dispatch *node* to, if known.
-
-    Purely informational (rendered by ``repro explain``); the backends
-    re-derive the dispatch themselves at execution time.
-    """
-    if backend not in ("columnar", "parallel"):
-        return None
-    if isinstance(node, JoinPlan):
-        nearest = node.condition.min_distance_k() is not None
-        return "join.nearest" if nearest else "join.window"
-    if node.kind == "map":
-        from repro.gmql.aggregates import Count
-
-        aggregates = getattr(node, "aggregates", None) or {}
-        only_counts = all(
-            isinstance(aggregate, Count) and attribute is None
-            for aggregate, attribute in aggregates.values()
-        )
-        return "map.count" if only_counts else "map.pairs"
-    if node.kind == "cover":
-        return "cover.sweep"
-    if node.kind == "difference":
-        # Exact and joinby DIFFERENCE fall back to the naive kernel.
-        if getattr(node, "exact", False) or getattr(node, "joinby", None):
-            return None
-        return "difference.sweep"
-    return None
-
-
 def plan_program(
     compiled: CompiledProgram,
     summaries: dict | None = None,
@@ -396,7 +363,6 @@ def plan_program(
             input_regions=input_regions,
             backend=backend,
             reason=reason,
-            kernel=_kernel_hint(node, backend),
             fingerprint=fingerprint_of(node, children),
             effects=effects,
         )

@@ -72,7 +72,7 @@ RULES = {
     "GQL120": "output aggregates across chromosomes (cannot shard)",
     "GQL121": "aggregate forces an ordered merge",
     "GQL122": "computed attributes disable result caching",
-    "GQL123": "DIFFERENCE options disable morsel parallelism",
+    "GQL123": "exact/joinby DIFFERENCE falls back to the naive kernel",
     "GQL124": "output cardinality has no static bound",
 }
 
@@ -1226,8 +1226,8 @@ class Analyzer:
             self._emit(
                 "GQL123",
                 WARNING,
-                f"DIFFERENCE: {mode} falls back to the per-region kernel; "
-                f"morsel parallelism is disabled for this operator",
+                f"DIFFERENCE: {mode} falls back to the per-region naive "
+                f"kernel instead of the vectorised overlap sweep",
                 op.span,
             )
         for name in op.joinby:

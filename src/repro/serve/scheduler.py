@@ -164,7 +164,6 @@ class QueryScheduler:
         if context is None:
             context = ExecutionContext(
                 workers=self._state.workers,
-                bin_size=self._state.bin_size,
                 result_cache=self._state.result_cache_enabled,
             )
         if coalescable is None:

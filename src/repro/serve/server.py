@@ -353,7 +353,6 @@ class QueryServer:
         context = ExecutionContext(
             timeout_seconds=ticket.deadline_seconds,
             workers=self.state.workers,
-            bin_size=self.state.bin_size,
             result_cache=self.state.result_cache_enabled,
         )
         executed = False

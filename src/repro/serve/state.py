@@ -58,8 +58,6 @@ class WarmState:
         Whether query contexts may serve plan nodes from the
         process-wide fingerprint cache (on by default -- amortising it
         across requests is the point of a resident server).
-    bin_size:
-        Zone-map bin size forwarded to every query context.
     """
 
     def __init__(
@@ -69,14 +67,12 @@ class WarmState:
         workers: int | None = None,
         store_dir: str | None = None,
         result_cache_enabled: bool = True,
-        bin_size: int | None = None,
     ) -> None:
         self.sources = dict(sources)
         self.engine = engine
         self.workers = workers
         self.store_dir = store_dir
         self.result_cache_enabled = result_cache_enabled
-        self.bin_size = bin_size
         self.started_at = monotonic()
         self.warm_seconds: float | None = None
         self._pool: ProcessPoolExecutor | None = None
@@ -101,7 +97,7 @@ class WarmState:
         """
         started = perf_counter()
         for dataset in self.sources.values():
-            store = dataset.store(self.bin_size)
+            store = dataset.store()
             for sample in dataset:
                 store.blocks(sample)
             store.zone_map()

@@ -37,7 +37,6 @@ cache-key/invalidation story.
 from repro.store.cache import (
     DEFAULT_CAPACITY,
     ResultCache,
-    cache_capacity_from_env,
     plan_token,
     reset_result_cache,
     result_cache,
@@ -121,7 +120,6 @@ __all__ = [
     "ZoneEntry",
     "ZoneMap",
     "block_cover_columns",
-    "cache_capacity_from_env",
     "chrom_cover_rows",
     "chromosome_ranks",
     "count_morsels",

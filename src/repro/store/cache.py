@@ -13,11 +13,11 @@ fingerprint, so editing a dataset changes the key and stale results are
 never served.  Hit/miss/eviction counters feed ``ExecutionContext``
 metrics, ``repro explain --analyze`` and the server's ``/stats``.
 
-With a *directory* configured (``REPRO_RESULT_CACHE_DIR``, defaulting to
-``<store root>/results`` when a persistent store root is active) every
-entry is additionally written to disk, so warm results survive process
-restarts: a fresh process misses in memory, loads the entry, and serves
-the hit without running a single kernel.  A disk entry holds columns,
+With a *directory* (by default ``<store root>/results`` when a
+persistent store root is active) every entry is additionally written to
+disk, so warm results survive process restarts: a fresh process misses
+in memory, loads the entry, and serves the hit without running a single
+kernel.  A disk entry holds columns,
 not objects: the dataset's name, schema and provenance, and per sample
 its id, metadata and column view
 (:meth:`~repro.gdm.sample.Sample.columns`), pickled -- no region object
@@ -38,6 +38,7 @@ from collections import OrderedDict
 
 from repro.gdm import Dataset, Sample
 from repro.gdm.sample import ColumnRows
+from repro.store.persist import store_root
 
 #: Default number of cached operator results kept by the global cache.
 DEFAULT_CAPACITY = 64
@@ -45,37 +46,6 @@ DEFAULT_CAPACITY = 64
 #: First field of a disk entry; a file holding anything else (an older
 #: layout, a foreign pickle) is a miss.
 _ENTRY_LAYOUT = "repro-result-columns-1"
-
-
-def cache_capacity_from_env(default: int = DEFAULT_CAPACITY) -> int:
-    """Capacity from ``REPRO_RESULT_CACHE`` (entries; 0 disables)."""
-    raw = os.environ.get("REPRO_RESULT_CACHE", "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(0, value)
-
-
-def cache_directory_from_env() -> str | None:
-    """Resolve the on-disk result-cache directory, or ``None``.
-
-    ``REPRO_RESULT_CACHE_DIR`` wins; otherwise entries live beside the
-    persistent store (``<store root>/results``) whenever a store root is
-    configured -- the "persistent service" arrangement where both block
-    segments and warm results survive restarts together.
-    """
-    raw = os.environ.get("REPRO_RESULT_CACHE_DIR", "").strip()
-    if raw:
-        return raw
-    from repro.store.persist import store_root
-
-    root = store_root()
-    if root:
-        return os.path.join(root, "results")
-    return None
 
 
 def plan_token(obj) -> str:
@@ -171,12 +141,11 @@ class ResultCache:
     def __init__(
         self, capacity: int | None = None, directory: str | None = None
     ) -> None:
-        self.capacity = (
-            capacity if capacity is not None else cache_capacity_from_env()
-        )
-        self.directory = (
-            directory if directory is not None else cache_directory_from_env()
-        )
+        if directory is None:
+            root = store_root()
+            directory = os.path.join(root, "results") if root else None
+        self.capacity = capacity if capacity is not None else DEFAULT_CAPACITY
+        self.directory = directory
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0

@@ -59,15 +59,15 @@ _STRAND_RANKS = np.array([2, 0, 1], dtype=np.int8)
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 
-#: Process-wide block accounting, mirroring the per-store counters.
+#: Process-wide block accounting, the one home of the block counters.
 #: Individual stores live on (possibly short-lived) derived datasets --
 #: a COVER over a region SELECT's result builds its blocks through the
 #: SELECT output's store, which is garbage once the query returns -- so
-#: summing the stores of the source datasets would under-count.  These
-#: totals survive the stores that fed them: ``repro run --stats`` reports
-#: their delta over the run and the server's ``/stats`` their running
-#: total.  Concurrent queries (server threads, background persists) all
-#: count here, so every access holds :data:`_COUNTERS_LOCK`.
+#: per-store counts would under-count.  These totals survive the stores
+#: that fed them: ``repro run --stats`` reports their delta over the run
+#: and the server's ``/stats`` their running total.  Concurrent queries
+#: (server threads, background persists) all count here, so every
+#: access holds :data:`_COUNTERS_LOCK`.
 _PROCESS_COUNTERS = {
     "blocks_built": 0,
     "blocks_mapped": 0,
@@ -466,19 +466,16 @@ class RegionMemo:
     memo -- that is, its rows -- dies, and a spill drops the blocks.
     """
 
-    __slots__ = ("view", "blocks", "columns", "evictions", "__weakref__")
+    __slots__ = ("view", "blocks", "columns", "__weakref__")
 
     def __init__(self) -> None:
         self.view = _UNSET
         self.blocks: dict = {}
         self.columns: dict = {}
-        #: Block sets the residency ledger spilled from this memo.
-        self.evictions = 0
 
     def _evict_resident(self, bin_size) -> None:
         """Ledger spill callback: drop the blocks of one bin size."""
         if self.blocks.pop(bin_size, None) is not None:
-            self.evictions += 1
             _count("blocks_evicted")
 
 
@@ -926,17 +923,17 @@ class DatasetStore:
     only dataset-wide state: the union blocks, the zone map, the digest
     and the persisted segments.
 
-    With a *root* configured (``--store-dir`` / ``REPRO_STORE_DIR`` /
+    With a *root* configured (``--store-dir`` /
     :func:`repro.store.persist.set_store_root`), a block request the
     region list's memo cannot serve first tries the persisted
     content-addressed store: a hit returns zero-copy ``np.memmap`` views
-    built by :class:`repro.store.persist.PersistedStore` (counted in
-    :attr:`blocks_mapped`), a miss builds in memory and triggers a
-    one-time persist -- synchronous when *sync* resolves true, otherwise
-    in a background thread.  In-memory built blocks are charged against
-    the process-wide :class:`~repro.store.persist.ResidencyLedger` so a
-    budget can spill the least-recently-used blocks instead of
-    exhausting RAM.
+    built by :class:`repro.store.persist.PersistedStore` (counted as
+    ``blocks_mapped`` in :func:`store_counters`), a miss builds in
+    memory and triggers a one-time persist -- synchronous when *sync*
+    resolves true, otherwise in a background thread.  In-memory built
+    blocks are charged against the process-wide
+    :class:`~repro.store.persist.ResidencyLedger` so a budget can spill
+    the least-recently-used blocks instead of exhausting RAM.
     """
 
     def __init__(
@@ -958,11 +955,6 @@ class DatasetStore:
         self._persisted = None
         self._persisted_checked = False
         self._persist_thread = None
-        self._union_evictions = 0
-        #: Blocks materialised in memory so far (observability).
-        self.blocks_built = 0
-        #: Blocks served as memory-mapped segment views.
-        self.blocks_mapped = 0
 
     # -- persisted-store plumbing --------------------------------------------
 
@@ -985,7 +977,6 @@ class DatasetStore:
             return None
         blocks = persisted.sample_blocks(key, n_regions)
         if blocks is not None:
-            self.blocks_mapped += 1
             _count("blocks_mapped")
         return blocks
 
@@ -1036,7 +1027,6 @@ class DatasetStore:
         """
         if self._union is not None:
             self._union = None
-            self._union_evictions += 1
             _count("blocks_evicted")
 
     # -- block access ---------------------------------------------------------
@@ -1045,7 +1035,6 @@ class DatasetStore:
         """Account an in-memory build: counters, ledger charge, persist."""
         from repro.store.persist import residency_ledger
 
-        self.blocks_built += 1
         _count("blocks_built")
         if owner is not None:
             residency_ledger().charge(owner, key, blocks.nbytes())
@@ -1120,13 +1109,6 @@ class DatasetStore:
         memos = (getattr(s.held_rows(), "memo", None) for s in self._dataset)
         return [memo for memo in memos if memo is not None]
 
-    @property
-    def blocks_evicted(self) -> int:
-        """Block sets of this dataset the residency ledger spilled."""
-        return self._union_evictions + sum(
-            memo.evictions for memo in self._sample_memos()
-        )
-
     def resident_bytes(self) -> int:
         """Bytes of block arrays currently materialised for this dataset.
 
@@ -1155,12 +1137,10 @@ class DatasetStore:
         return total
 
     def stats(self) -> dict:
-        """Observability snapshot of this store's blocks and residency."""
+        """Observability snapshot of this store's residency (block
+        counts are process-wide: :func:`store_counters`)."""
         persisted = self._persisted_store()
         return {
-            "blocks_built": self.blocks_built,
-            "blocks_mapped": self.blocks_mapped,
-            "blocks_evicted": self.blocks_evicted,
             "resident_bytes": self.resident_bytes(),
             "persisted": (
                 str(persisted.directory) if persisted is not None else None

@@ -34,9 +34,9 @@ paper's repository abstraction (sections 3-4) assumes:
   re-loading instead of OOMing.  Memory-mapped blocks are never
   charged: the page cache already evicts them for free.
 
-The store root resolves from ``REPRO_STORE_DIR`` (or
-:func:`set_store_root`, used by the CLI ``--store-dir`` flag); without a
-root every code path behaves exactly as before -- purely in-memory.
+The store root is whatever :func:`set_store_root` was given (the CLI
+``--store-dir`` flag lands there); without a root every code path
+behaves exactly as before -- purely in-memory.
 
 This module is the *only* place allowed to construct ``np.memmap`` /
 ``mmap.mmap`` objects (``benchmarks/lint_repo.py`` enforces the ban
@@ -105,7 +105,7 @@ _CONFIGURED_SYNC: bool | None = None
 
 
 def set_store_root(path: str | None, sync: bool | None = None) -> None:
-    """Configure the process-wide store root (overrides the environment).
+    """Configure the process-wide store root (``None`` turns it off).
 
     The CLI ``--store-dir`` flag lands here.  *sync*, when given, also
     fixes the persist mode: ``True`` persists synchronously on first
@@ -117,17 +117,9 @@ def set_store_root(path: str | None, sync: bool | None = None) -> None:
     _CONFIGURED_SYNC = sync
 
 
-def store_root_from_env() -> str | None:
-    """The ``REPRO_STORE_DIR`` override, if any."""
-    raw = os.environ.get("REPRO_STORE_DIR", "").strip()
-    return raw or None
-
-
 def store_root() -> str | None:
-    """The active store root: configured value, then ``REPRO_STORE_DIR``."""
-    if _CONFIGURED_ROOT is not None:
-        return _CONFIGURED_ROOT
-    return store_root_from_env()
+    """The active store root: what :func:`set_store_root` was given."""
+    return _CONFIGURED_ROOT
 
 
 def persist_sync_default() -> bool:

@@ -222,18 +222,6 @@ class TestParallelWorkersConfig:
         backend = ParallelBackend(max_workers=3)
         assert backend.max_workers == 3
 
-    def test_env_var_default(self, monkeypatch):
-        from repro.engine.parallel import ParallelBackend
-
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert ParallelBackend().max_workers == 5
-
-    def test_constructor_beats_env(self, monkeypatch):
-        from repro.engine.parallel import ParallelBackend
-
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert ParallelBackend(max_workers=2).max_workers == 2
-
     def test_context_workers_apply_before_pool_creation(self):
         from repro.engine import ExecutionContext
         from repro.engine.parallel import ParallelBackend

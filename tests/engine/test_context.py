@@ -3,7 +3,6 @@
 import pytest
 
 from repro.engine import ExecutionContext, MetricsRegistry, SpanTracer
-from repro.engine.context import workers_from_env
 from repro.errors import EngineError, ExecutionCancelled
 
 
@@ -178,21 +177,39 @@ class TestDeadlineRetryInteraction:
         assert Timeout(0.5).budget(context) == pytest.approx(0.5)
 
 
-class TestWorkersConfig:
-    def test_workers_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert workers_from_env() == 3
-        assert ExecutionContext().workers == 3
+class TestSettingsComeFromArguments:
+    """Workers, bin size, store root and result cache are set by flags
+    and constructors only; the environment variables that once set them
+    ambiently are ignored."""
 
-    def test_workers_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "zero")
-        assert workers_from_env() is None
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert workers_from_env() is None
+    RETIRED = {
+        "REPRO_WORKERS": "3",
+        "REPRO_BIN_SIZE": "64",
+        "REPRO_RESULT_CACHE": "5",
+        "REPRO_RESULT_CACHE_DIR": "/env/results",
+        "REPRO_STORE_DIR": "/env/root",
+    }
 
-    def test_explicit_workers_beat_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        assert ExecutionContext(workers=5).workers == 5
+    def test_retired_variables_are_ignored(self, monkeypatch):
+        from repro.engine.parallel import ParallelBackend, default_workers
+        from repro.store import DEFAULT_CAPACITY, ResultCache
+        from repro.store.persist import set_store_root, store_root
+
+        set_store_root(None)
+        for name, value in self.RETIRED.items():
+            monkeypatch.setenv(name, value)
+        context = ExecutionContext()
+        assert context.workers is None
+        assert context.bin_size is None
+        assert store_root() is None
+        cache = ResultCache()
+        assert cache.capacity == DEFAULT_CAPACITY == 64
+        assert cache.directory is None
+        assert ParallelBackend().max_workers == default_workers()
+
+    def test_explicit_arguments_are_kept(self):
+        context = ExecutionContext(workers=5, bin_size=64)
+        assert (context.workers, context.bin_size) == (5, 64)
 
 
 class TestBackendIntegration:

@@ -7,6 +7,7 @@ from repro.federation import (
     dataset_manifest,
     estimate_shard_outputs,
     is_chromosome_clustered,
+    parse_staged_sections,
     partition_chromosomes,
     place_shards,
     shard_summaries,
@@ -22,6 +23,8 @@ from repro.gdm import (
     chromosome_sort_key,
     region,
 )
+from repro.gdm.sample import rows_materialised
+from repro.repository.staging import _serialise_sections
 
 
 def make_dataset(name="PEAKS", chrom_counts=None, samples=2) -> Dataset:
@@ -76,6 +79,14 @@ class TestClustering:
         ], Metadata({})))
         assert is_chromosome_clustered(ds) is False
         assert dataset_manifest(ds).clustered is False
+
+    def test_staged_partials_are_checked_from_their_columns(self):
+        partial = parse_staged_sections(
+            *_serialise_sections(make_dataset()), "PEAKS"
+        )
+        before = rows_materialised()
+        assert is_chromosome_clustered(partial) is True
+        assert rows_materialised() == before
 
 
 class TestSlicing:

@@ -265,6 +265,55 @@ class TestExplainReadsSpans:
         assert physical.outputs["R"].cached
 
 
+class TestExplainShowsTheKernelThatRan:
+    """``kernel=`` is read from the span the backend annotated, never
+    guessed from the plan."""
+
+    def node_line(self, program, sources, kind, analyze=True) -> str:
+        __, physical, __ = explain_analyze(
+            program + " MATERIALIZE R;", sources, engine="columnar"
+        )
+        node = next(n for n in physical.walk() if n.kind == kind)
+        (line,) = [
+            line for line in physical.explain(analyze=analyze).splitlines()
+            if line.strip().startswith(node.label() + "  [")
+        ]
+        return line
+
+    def test_clean_join_and_map_count_name_their_kernels(self):
+        from tests.store.test_region_memo import ragged_sources
+
+        join = self.node_line(
+            "R = JOIN(DLE(100); output: CAT) GOOD GOOD;",
+            ragged_sources(), "join",
+        )
+        count = self.node_line(
+            "R = MAP(n AS COUNT) GOOD GOOD;", ragged_sources(), "map"
+        )
+        assert "kernel=join.window" in join
+        assert "kernel=map.count" in count
+
+    def test_ragged_join_ran_no_vectorised_kernel(self):
+        from tests.store.test_region_memo import ragged_sources
+
+        line = self.node_line(
+            "R = JOIN(DLE(100); output: CAT) RAGGED GOOD;",
+            ragged_sources(), "join",
+        )
+        assert "backend=columnar" in line
+        assert "kernel=" not in line
+
+    def test_plan_only_explain_names_no_kernel(self):
+        from tests.store.test_region_memo import ragged_sources
+
+        line = self.node_line(
+            "R = JOIN(DLE(100); output: CAT) GOOD GOOD;",
+            ragged_sources(), "join", analyze=False,
+        )
+        assert "backend=columnar" in line
+        assert "kernel=" not in line
+
+
 class TestInterpreterPhysical:
     def test_run_program_fills_physical_actuals(self):
         data = random_dataset(21)

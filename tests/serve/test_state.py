@@ -5,6 +5,8 @@ import asyncio
 import gc
 import weakref
 
+import pytest
+
 from repro.engine.context import ExecutionContext
 from repro.gdm import results_digest
 from repro.gmql.lang import execute
@@ -121,3 +123,11 @@ def test_a_slot_keeps_no_per_query_execution_record():
     assert all(record() is None for record in records)
     assert slot.context is None and not hasattr(slot, "stats")
 
+
+def test_warm_state_takes_no_bin_size():
+    # Queries run at the store's default bin size; there is no second,
+    # server-wide way to set it.
+    state = WarmState(make_sources(), engine="columnar")
+    assert not hasattr(state, "bin_size")
+    with pytest.raises(TypeError):
+        WarmState(make_sources(), engine="columnar", bin_size=64)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.gdm import Dataset, GenomicRegion, Metadata, RegionSchema, Sample
-from repro.store import DatasetStore, region_memo
+from repro.store import DatasetStore, region_memo, store_counters
 from repro.store.persist import (
     BLOCK_COLUMNS,
     MANIFEST_NAME,
@@ -108,12 +108,15 @@ class TestPersistRoundTrip:
         assert (final / MANIFEST_NAME).is_file()
         assert (final / SEGMENTS_NAME).is_file()
 
+        before = store_counters()
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
         for sample in fresh._dataset:
             assert all_columns(fresh.blocks(sample)) == expected[sample.id]
         assert all_columns(fresh.union_blocks()) == expected_union
-        assert fresh.blocks_mapped == 3  # 2 samples + union
-        assert fresh.blocks_built == 0
+        after = store_counters()
+        # 2 samples + union
+        assert after["blocks_mapped"] - before["blocks_mapped"] == 3
+        assert after["blocks_built"] == before["blocks_built"]
 
     def test_mapped_blocks_are_memmap_views_costing_no_residency(
         self, tmp_path
@@ -213,8 +216,9 @@ class TestOpenRejections:
         # (the other sample, the union) race the count asserted here.
         monkeypatch.setattr(DatasetStore, "_schedule_persist", lambda self: None)
         store = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
+        built = store_counters()["blocks_built"]
         blocks = store.blocks(next(iter(store._dataset)))
-        assert store.blocks_built == 1
+        assert store_counters()["blocks_built"] - built == 1
         assert blocks.chroms["chr1"].starts.tolist() == [0, 120]
 
 
@@ -306,9 +310,10 @@ class TestResidencyLedger:
         reset_residency_ledger(int(one_sample_bytes * 1.5))
         store = DatasetStore(make_dataset(), BIN, root=None)
         samples = list(store._dataset)
+        evicted = store_counters()["blocks_evicted"]
         store.blocks(samples[0])
         store.blocks(samples[1])   # overflows: sample 1 evicted
-        assert store.blocks_evicted >= 1
+        assert store_counters()["blocks_evicted"] - evicted >= 1
         assert BIN not in region_memo(samples[0].regions).blocks
         # Evicted blocks rebuild transparently on next use.
         rebuilt = store.blocks(samples[0])
@@ -328,10 +333,11 @@ class TestResidencyLedger:
         for sample in dataset:
             builder.blocks(sample)
         ledger = reset_residency_ledger(None)
+        mapped = store_counters()["blocks_mapped"]
         fresh = DatasetStore(make_dataset(), BIN, root=str(tmp_path))
         for sample in fresh._dataset:
             fresh.blocks(sample)
-        assert fresh.blocks_mapped > 0
+        assert store_counters()["blocks_mapped"] - mapped > 0
         assert ledger.resident_bytes() == 0
 
     def test_touch_refreshes_recency(self):
@@ -354,16 +360,9 @@ class TestResidencyLedger:
 
 
 class TestStoreRootResolution:
-    def test_configured_root_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_DIR", "/env/root")
-        assert store_root() == "/env/root"
-        set_store_root("/configured")
-        assert store_root() == "/configured"
-        set_store_root(None)
-        assert store_root() == "/env/root"
-
     def test_dataset_store_picks_up_process_root(self, tmp_path):
         set_store_root(str(tmp_path), sync=True)
+        assert store_root() == str(tmp_path)
         store = DatasetStore(make_dataset(), BIN)
         assert store.root == str(tmp_path)
         assert store.sync is True

@@ -464,11 +464,11 @@ class TestResidencyLedger:
         ledger = reset_residency_ledger(one)
         for sample in samples:
             region_memo(sample.regions).blocks.clear()
+        evicted = store_counters()["blocks_evicted"]
         store.blocks(samples[0])
         store.blocks(samples[1])
         assert ledger.evictions == 1
-        assert store.blocks_evicted == 1
-        assert store.stats()["blocks_evicted"] == 1
+        assert store_counters()["blocks_evicted"] - evicted == 1
 
 
 class TestProcessCounters:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.formats import write_dataset
 from repro.gdm import Dataset, FLOAT, Metadata, RegionSchema, Sample, region
 
@@ -389,3 +389,15 @@ class TestOtherCommands:
         source.write_text("x")
         code = main(["convert", str(source), str(tmp_path / "out.bed")])
         assert code == 1
+
+    def test_serve_has_no_bin_size_flag(self, capsys, encode_dir):
+        parser = build_parser()
+        args = parser.parse_args(["serve", "--source", f"ENCODE={encode_dir}"])
+        assert not hasattr(args, "bin_size")
+        with pytest.raises(SystemExit) as raised:
+            parser.parse_args(
+                ["serve", "--source", f"ENCODE={encode_dir}",
+                 "--bin-size", "10"]
+            )
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --bin-size" in capsys.readouterr().err
