@@ -11,10 +11,10 @@ rebuilding coordinate arrays from region objects on every operator:
   other registered aggregate runs on the overlap-pair kernel
   (:func:`repro.store.overlap_pairs`) with grouped
   ``reduceat``/sorted-prefix reductions.  Float SUM/AVG/STD reduce with
-  the exact vectorised summation of :func:`repro.store.segment_fsum`
-  (bit-identical to the ``math.fsum`` the naive aggregates are defined
-  against, in any order), MEDIAN with sorted-rank selection, and BAG
-  with a lexsort/dedup pass over a stringified column -- so the old
+  :func:`repro.store.segment_fsum` (the ``math.fsum`` the naive
+  aggregates are defined against, per group of gathered values, which
+  fsum sums exactly in any order), MEDIAN with sorted-rank selection,
+  and BAG with a lexsort/dedup pass over a stringified column -- so the old
   per-group Python fallback survives only for genuinely unvectorisable
   inputs (``None``-bearing columns, ints beyond 2**52, ``-0.0``/NaN
   tie-sensitive MIN/MAX/MEDIAN, unregistered aggregates);
@@ -48,7 +48,7 @@ Operands are read through their samples' column views
 (:meth:`~repro.gdm.sample.Sample.columns`) only, so one holding ragged
 rows runs on the naive kernels (:func:`has_ragged_rows`).  Array
 building lives in :mod:`repro.store` only.  Each operator plans in the
-calling process -- sample pairing, zone-map and dead-bin pruning, output
+calling process -- sample pairing, zone-map pruning, output
 schema -- and hands every (unit, chromosome) piece of pure array work to
 :meth:`ColumnarBackend.submit_kernel`; whichever executor ran the
 pieces, every output sample is *born as columns*
@@ -346,8 +346,8 @@ def aggregate_segments(
         if (
             isinstance(aggregate, (Sum, Avg, Std))
             and is_float
-            # The fsum kernels are proven bit-identical to the naive
-            # ``math.fsum`` only when the naive side sees floats too: a
+            # segment_fsum is bit-identical to the naive ``math.fsum``
+            # only when the naive side sees floats too: a
             # FLOAT column carrying stray ints makes it return ``int``.
             and column.all_float()
         ):
@@ -367,8 +367,8 @@ def aggregate_segments(
             deviations = gathered - np.repeat(means, counts)
             with np.errstate(over="ignore", invalid="ignore"):
                 # Square overflow -> inf and nan arithmetic match Python
-                # float semantics; segment_fsum falls back to the
-                # per-group fsum for those segments.
+                # float semantics, which fsum then sums as the naive
+                # side does.
                 squares = segment_fsum(deviations * deviations, offsets)
             out = []
             for i in range(n):
@@ -903,8 +903,7 @@ class ColumnarBackend(NaiveBackend):
                     )
                     for chrom, chrom_parts in group_cover_parts(
                         [store.blocks(sample) for sample in samples],
-                        lo, plan.variant,
-                        bin_size=store.bin_size, on_pruned=self.note_pruned,
+                        plan.variant,
                     )
                 ])
 

@@ -17,6 +17,11 @@ from __future__ import annotations
 
 import hashlib
 from itertools import islice
+from typing import Iterator
+
+import numpy as np
+
+from repro.gdm.sample import ColumnRows, listed
 
 #: Rows joined into one hash update: large enough that per-update
 #: overhead vanishes, small enough that the joined text of a big sample
@@ -24,9 +29,42 @@ from itertools import islice
 _ROWS_PER_UPDATE = 2048
 
 
+def _column_texts(sample_id: int, columns: ColumnRows) -> Iterator[str]:
+    """The reprs of the rows of *columns*, joined a chunk at a time.
+
+    Each chromosome run is one ``%`` template with the sample id and
+    the chromosome's ``repr`` baked in: ``%d`` for the coordinates and
+    integer-array values (an int's ``%d`` is its ``repr``), ``%r`` for
+    everything else.  Arrays are sliced per chunk before ``tolist``.
+    """
+    fields = [columns.lefts, columns.rights, columns.strands,
+              *columns.values]
+    specs = ", ".join(
+        "%d" if isinstance(field, np.ndarray) and field.dtype.kind in "iu"
+        else "%r"
+        for field in fields
+    )
+    position = 0
+    for chrom, count in columns.runs:
+        head = f"({sample_id!r}, {chrom!r}, ".replace("%", "%%")
+        template = f"{head}{specs})"
+        end = position + count
+        for lo in range(position, end, _ROWS_PER_UPDATE):
+            hi = min(lo + _ROWS_PER_UPDATE, end)
+            yield "".join(map(template.__mod__, zip(
+                *[listed(field[lo:hi]) for field in fields]
+            )))
+        position = end
+
+
 def _update_dataset(h, dataset) -> None:
     """Feed the reprs of every region row of *dataset* to *h*."""
     for sample in dataset:
+        held = sample.held_rows()
+        if isinstance(held, ColumnRows):
+            for text in _column_texts(sample.id, held):
+                h.update(text.encode())
+            continue
         rows = sample.rows()
         while text := "".join(map(repr, islice(rows, _ROWS_PER_UPDATE))):
             h.update(text.encode())

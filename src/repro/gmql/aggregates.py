@@ -9,9 +9,10 @@ SQL semantics; an aggregate over an empty or all-missing list returns
 
 Float reductions (SUM, AVG, STD) are defined against ``math.fsum``:
 the correctly rounded value of the exact real sum.  fsum is
-order-independent, which is what lets the columnar engine's exact
-vectorised summation (:mod:`repro.store.exact_sum`) be bit-identical
-to this reference implementation instead of merely close.  Integer
+order-independent, which is what lets the columnar engine's grouped
+summation (:mod:`repro.store.exact_sum`, fsum over each group's values
+gathered in pair order) be bit-identical to this reference
+implementation instead of merely close.  Integer
 inputs keep Python's arbitrary-precision ``sum`` (and its ``int``
 result type).
 """

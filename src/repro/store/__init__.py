@@ -16,7 +16,7 @@ engines (the paper's section 4 "cloud-based execution" direction):
   DIFFERENCE's overlap test from one step-function coverage profile
   per chromosome, built from the persisted sorted columns;
 * :mod:`repro.store.exact_sum` -- exact grouped float summation
-  (vectorised ``math.fsum``) backing the engines' float SUM/AVG/STD
+  (``math.fsum`` per segment) backing the engines' float SUM/AVG/STD
   fast path;
 * :mod:`repro.store.persist` -- the disk-native persisted store:
   content-addressed per-chromosome segment files opened lazily via
@@ -76,7 +76,6 @@ from repro.store.cover_kernels import (
     profile_cover,
     profile_histogram,
     profile_summits,
-    prune_dead_bins,
     sweep_profile,
     wide_sorted_events,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "profile_cover",
     "profile_histogram",
     "profile_summits",
-    "prune_dead_bins",
     "PersistedStore",
     "ResidencyLedger",
     "mmap_descriptor",

@@ -4,17 +4,19 @@ The accumulation-index operators of the paper's region calculus (COVER,
 FLAT, SUMMIT, HISTOGRAM) and the overlap test of DIFFERENCE all reduce
 to one primitive: the *step-function coverage profile* of a set of
 intervals.  This module computes that profile with a single numpy
-event sweep -- +1 at every region start, -1 at every region end,
-positions collapsed with ``np.unique`` and depths accumulated with
-``cumsum`` -- and serves every variant from it with array arithmetic.
+event sweep -- every start and stop tagged into one ``uint64`` key,
+the keys sorted once, the +1/-1 deltas accumulated with ``cumsum`` and
+the last event of each position kept -- and serves every variant from
+it with array arithmetic.
 
 The kernels consume the **persisted sorted columns** of
 :class:`~repro.store.columnar.ChromBlock` (``sorted_starts``,
-``sorted_stops``, ``zero_positions``, and ``left_stops`` for FLAT), so
-a memory-mapped store pays no re-sort: zero-length regions are removed
-from the sorted multisets with a vectorised multiset subtraction that
-preserves order.  Like :mod:`repro.store.join_kernels`, everything here
-operates on plain numpy arrays -- the same functions run in the parent
+``sorted_stops``, ``zero_positions``, and ``left_stops`` for FLAT):
+zero-length regions are removed from the sorted multisets with a
+vectorised multiset subtraction that preserves order, so the sweep's
+one sort is the only one a COVER pays.  Like
+:mod:`repro.store.join_kernels`, everything here operates on plain
+numpy arrays -- the same functions run in the parent
 process (columnar backend) and inside pool workers over shared-memory
 or mmap views (parallel backend).
 
@@ -91,20 +93,31 @@ def sweep_profile(starts: np.ndarray, stops: np.ndarray) -> tuple:
 
     ``bounds`` holds every distinct event position ascending;
     ``depths[i]`` is the accumulation index on
-    ``[bounds[i], bounds[i+1])`` (the final entry is always 0).  Counts
-    travel through ``np.bincount`` float weights, exact below ``2**53``
-    events.
+    ``[bounds[i], bounds[i+1])`` (the final entry is always 0).
+
+    One sort decides it: each event is the key ``(pos << 1) | is_stop``
+    in ``uint64`` (no overflow for coordinates in ``[0, 2**63)``).  In
+    key order, the running sum of the +1/-1 deltas at the last event of
+    a position counts every event at or before it: the depth from that
+    position on.
     """
     if starts.size == 0:
         return _EMPTY, _EMPTY
-    positions = np.concatenate((starts, stops))
-    deltas = np.ones(positions.size, dtype=np.int64)
-    deltas[starts.size:] = -1
-    bounds, inverse = np.unique(positions, return_inverse=True)
-    net = np.bincount(
-        inverse, weights=deltas, minlength=bounds.size
-    ).astype(np.int64)
-    return bounds, np.cumsum(net)
+    keys = np.empty(starts.size + stops.size, dtype=np.uint64)
+    keys[:starts.size] = starts
+    keys[starts.size:] = stops
+    keys <<= np.uint64(1)
+    keys[starts.size:] |= np.uint64(1)
+    keys.sort()
+    deltas = (keys & np.uint64(1)).view(np.int64)
+    deltas *= -2
+    deltas += 1
+    running = np.cumsum(deltas)
+    keys >>= np.uint64(1)
+    last = np.empty(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+    last[-1] = True
+    return keys[last].view(np.int64), running[last]
 
 
 def _in_range(depths: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -270,132 +283,29 @@ def chrom_cover_rows(parts: list, lo: int, hi: int, variant: str) -> tuple:
     return flat_lefts, flat_rights, max_depths
 
 
-def block_cover_columns(block, variant: str, with_pairs: bool = False
-                        ) -> tuple:
-    """The persisted columns :func:`chrom_cover_rows` needs from *block*.
-
-    *with_pairs* appends ``left_stops`` (stops in start-sorted order,
-    pairing element-wise with ``sorted_starts``) even for non-FLAT
-    variants -- :func:`prune_dead_bins` needs the pairing to test each
-    region's bin span.
-    """
+def block_cover_columns(block, variant: str) -> tuple:
+    """The persisted columns :func:`chrom_cover_rows` needs from *block*."""
     columns = (block.sorted_starts, block.sorted_stops,
                block.zero_positions)
-    if variant == "FLAT" or with_pairs:
+    if variant == "FLAT":
         columns += (block.left_stops,)
     return columns
 
 
-#: Bin-span ceiling above which dead-bin pruning is skipped: the per-bin
-#: count pass allocates O(span) arrays, which for a pathological sparse
-#: chromosome (two regions a gigabase apart, small bins) would dwarf the
-#: sweep it is trying to shortcut.
-PRUNE_MAX_BINS = 1_000_000
-
-
-def prune_dead_bins(parts: list, lo: int, bin_size: int, variant: str
-                    ) -> tuple:
-    """Drop regions that cannot reach a COVER threshold of ``max(lo, 1)``.
-
-    Returns ``(parts, pruned_bins)`` where *pruned_bins* counts occupied
-    zone-map bins eliminated from the sweep.  For every bin ``b`` over
-    ``[b * bin_size, (b+1) * bin_size)`` the number of wide regions
-    overlapping it is computed exactly from the combined sorted event
-    arrays -- ``#(start < bin_end) - #(stop <= bin_start)`` (every
-    region with ``stop <= bin_start`` also has ``start < bin_end``, so
-    the difference counts exactly the overlappers).  That count bounds
-    the accumulation index anywhere in the bin, so a bin counting below
-    the clamped lower threshold is *dead*: no position in it can ever
-    qualify.  A region whose whole bin span is dead can then be dropped
-    outright -- it cannot intersect any qualifying segment, cannot
-    change depths outside its own extent, and (for FLAT) cannot widen a
-    qualifying run it does not overlap.
-
-    Inputs must carry the paired ``left_stops`` column
-    (``block_cover_columns(..., with_pairs=True)``); outputs keep that
-    column only for FLAT, matching what :func:`chrom_cover_rows` and the
-    parallel morsel kernels consume.  Zero-length regions are dropped
-    from pruned parts entirely (they contribute no events).
-    """
-
-    def arity(columns):
-        return columns if variant == "FLAT" else [
-            part[:3] for part in columns
-        ]
-
-    clamped = max(lo, 1)
-    if clamped < 2 or not bin_size or bin_size <= 0:
-        return arity(parts), 0
-    starts_list, stops_list = [], []
-    for part in parts:
-        wide_starts, wide_stops = wide_sorted_events(
-            part[0], part[1], part[2]
-        )
-        starts_list.append(wide_starts)
-        stops_list.append(wide_stops)
-    starts = np.sort(np.concatenate(starts_list))
-    stops = np.sort(np.concatenate(stops_list))
-    if starts.size == 0:
-        return arity(parts), 0
-    first_bin = int(starts[0] // bin_size)
-    last_bin = int((stops[-1] - 1) // bin_size)
-    span = last_bin - first_bin + 1
-    if span > PRUNE_MAX_BINS:
-        return arity(parts), 0
-    edges = np.arange(
-        first_bin, first_bin + span + 1, dtype=np.int64
-    ) * bin_size
-    counts = (
-        np.searchsorted(starts, edges[1:], side="left")
-        - np.searchsorted(stops, edges[:-1], side="right")
-    )
-    pruned = int(np.count_nonzero((counts > 0) & (counts < clamped)))
-    if pruned == 0:
-        return arity(parts), 0
-    dead = np.flatnonzero(counts < clamped) + first_bin
-    out = []
-    for part in parts:
-        pair_starts, pair_stops = part[0], part[3]
-        wide = pair_stops > pair_starts
-        wide_starts = pair_starts[wide]
-        wide_stops = pair_stops[wide]
-        lo_bins = wide_starts // bin_size
-        hi_bins = (wide_stops - 1) // bin_size
-        dead_in_span = (
-            np.searchsorted(dead, hi_bins, side="right")
-            - np.searchsorted(dead, lo_bins, side="left")
-        )
-        keep = dead_in_span < (hi_bins - lo_bins + 1)
-        kept_starts = wide_starts[keep]
-        kept_stops = wide_stops[keep]
-        pruned_part = (kept_starts, np.sort(kept_stops), _EMPTY)
-        if variant == "FLAT":
-            pruned_part += (kept_stops,)
-        out.append(pruned_part)
-    return out, pruned
-
-
-def group_cover_parts(blocks_list: list, lo: int, variant: str,
-                      bin_size: int | None = None, on_pruned=None):
+def group_cover_parts(blocks_list: list, variant: str):
     """Yield ``(chrom, parts)`` for one COVER group, in genome order.
 
     *blocks_list* holds each contributing sample's
     :class:`~repro.store.columnar.SampleBlocks`; *parts* is what
     :func:`chrom_cover_rows` sweeps for that chromosome.
-
-    With a *bin_size* and a lower threshold of at least 2, dead zone-map
-    bins are pruned from each chromosome's parts first
-    (:func:`prune_dead_bins`); *on_pruned* is called with the count of
-    occupied bins eliminated.
     """
     from repro.gdm.region import chromosome_sort_key
 
-    prune = bin_size is not None and max(lo, 1) >= 2
     per_chrom: dict = {}
     for blocks in blocks_list:
         for chrom, block in blocks.chroms.items():
             per_chrom.setdefault(chrom, []).append(
-                block_cover_columns(block, variant, with_pairs=prune)
+                block_cover_columns(block, variant)
             )
 
     def first_wide(chrom) -> tuple:
@@ -414,25 +324,20 @@ def group_cover_parts(blocks_list: list, lo: int, variant: str,
         per_chrom,
         key=lambda chrom: (chromosome_sort_key(chrom), first_wide(chrom)),
     ):
-        parts = per_chrom[chrom]
-        if prune:
-            parts, pruned = prune_dead_bins(parts, lo, bin_size, variant)
-            if pruned and on_pruned is not None:
-                on_pruned(pruned)
-        yield chrom, parts
+        yield chrom, per_chrom[chrom]
 
 
 def group_cover_rows(blocks_list: list, lo: int, hi: int, variant: str,
-                     bin_size: int | None = None, on_pruned=None):
+                     bin_size: int | None = None):
     """Yield ``(chrom, lefts, rights, depths)`` for one COVER group.
 
     :func:`group_cover_parts` swept chromosome by chromosome;
     chromosomes with no qualifying rows are skipped (matching the naive
-    iterators).
+    iterators).  *bin_size* is accepted and unused: ``perf/probes.py``
+    still passes it, and the benchmark revision of ROADMAP.md item 1
+    drops it.
     """
-    for chrom, parts in group_cover_parts(
-        blocks_list, lo, variant, bin_size=bin_size, on_pruned=on_pruned
-    ):
+    for chrom, parts in group_cover_parts(blocks_list, variant):
         lefts, rights, row_depths = chrom_cover_rows(
             parts, lo, hi, variant
         )

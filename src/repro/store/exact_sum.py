@@ -1,141 +1,36 @@
-"""Exact grouped float summation: vectorised ``math.fsum``.
+"""Exact grouped float summation: ``math.fsum`` per segment.
 
 The MAP/EXTEND/GROUP float aggregates (SUM, AVG, STD) are defined
 against ``math.fsum``, which returns the correctly rounded value of the
 *exact* real sum and is therefore order-independent.  That definition
-is what lets a vectorised kernel be bit-identical to the naive
-per-group reduction: both sides round the same exact rational number
-once.
+is what lets the engines gather a group's values in any order and
+still match the naive per-group reduction bit for bit.
 
-:func:`segment_fsum` reproduces fsum over CSR segments with a
-fixed-point **superaccumulator** (a Kulisch-style accumulator, split
-into 32-bit limbs held in int64 lanes):
-
-1. ``np.frexp`` decomposes each float64 into an exact integer mantissa
-   ``m`` (|m| < 2**53) and exponent, so ``v = m * 2**(e-53)``;
-2. after re-biasing the exponent to be non-negative, each mantissa
-   contributes to at most three 32-bit limbs of its group's
-   accumulator, scattered with ``np.add.at`` (contributions are
-   < 2**33 in magnitude, so an int64 lane absorbs > 2**30 addends
-   without overflow);
-3. a vectorised carry-propagation pass normalises the limbs, each
-   group's accumulator is reassembled into an exact Python integer
-   ``T``, and the result is the correctly rounded value of
-   ``T * 2**-BIAS`` -- computed with Python's exact big-int ``/``
-   (round-half-even, like fsum).
-
-**Exactness argument.**  Steps 1-3 are exact integer arithmetic; the
-single rounding at the end is the same correctly rounded conversion
-fsum performs.  The one divergence fsum allows is an *intermediate*
-overflow (a partial sum exceeding the float64 range even though the
-total does not), which raises ``OverflowError``.  Groups that could hit
-it -- any member with magnitude >= 2**1000, or more than 2**20 members
--- fall back to ``math.fsum`` itself, as do groups containing
-non-finite values (fsum's inf/NaN bookkeeping is order-independent
-too, so the fallback stays byte-identical).  For the remaining groups
-every prefix sum is below ``2**20 * 2**1000 < 2**1024``, so fsum
-cannot overflow and both sides return the same correctly rounded
-float.  Zero totals are safe as well: fsum normalises them to ``+0.0``
-regardless of input signs, exactly like big-int division of 0.
+:func:`segment_fsum` is that definition over CSR segments: one
+``tolist`` of the values, then ``math.fsum`` over each slice.  It is
+bit-identical by construction -- signed zeros, NaN and infinities come
+out as fsum makes them, and it raises exactly where fsum raises
+(``inf - inf``, intermediate overflow).
 """
 
 from __future__ import annotations
 
-import math
+from math import fsum
 
 import numpy as np
 
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-
-#: Exponent re-bias making every float64 (denormals included) an
-#: integer multiple of ``2**-_BIAS``: the smallest positive float64 is
-#: ``2**-1074 = 2**52 * 2**(-1073 - 53)``, so biasing frexp exponents
-#: by 1128 leaves slack.
-_BIAS = 1128
-
-#: Conservative gates under which ``math.fsum`` provably cannot raise
-#: an intermediate ``OverflowError`` (see the module docstring).
-_MAX_MAGNITUDE = 2.0 ** 1000
-_MAX_GROUP = 1 << 20
-
-
-def _scaled_float(value: int, shift: int) -> float:
-    """Correctly rounded ``value * 2**shift`` for exact integer *value*."""
-    if shift >= 0:
-        return float(value << shift)
-    return value / (1 << -shift)
-
 
 def segment_fsum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-segment sums of float64 *values*, bit-identical to fsum.
+    """Per-segment ``math.fsum`` of float64 *values*.
 
     *offsets* is a CSR boundary array (:func:`repro.store.group_offsets`
     shape): segment ``i`` is ``values[offsets[i]:offsets[i+1]]``.
     Returns a float64 array aligned with segments; empty segments sum
-    to ``0.0`` (fsum of an empty iterable).  Raises exactly where a
-    per-segment ``math.fsum`` would (inf - inf, overflow).
+    to ``0.0`` (fsum of an empty iterable).
     """
-    counts = np.diff(offsets)
-    n_groups = int(counts.size)
-    out = np.zeros(n_groups, dtype=np.float64)
-    if n_groups == 0 or values.size == 0:
-        return out
-    group = np.repeat(np.arange(n_groups, dtype=np.int64), counts)
-    risky = ~np.isfinite(values) | (np.abs(values) >= _MAX_MAGNITUDE)
-    fallback = np.zeros(n_groups, dtype=bool)
-    if risky.any():
-        fallback[group[risky]] = True
-    fallback |= counts >= _MAX_GROUP
-
-    exact_elements = ~fallback[group]
-    x = values[exact_elements]
-    if x.size:
-        g = group[exact_elements]
-        fractions, exponents = np.frexp(x)
-        mantissas = np.ldexp(fractions, 53).astype(np.int64)  # exact
-        biased = exponents.astype(np.int64) - 53 + _BIAS
-        limb = biased >> 5
-        shift = biased & 31
-        signs = np.sign(mantissas)
-        magnitudes = np.abs(mantissas)
-        low = (magnitudes & _LIMB_MASK) << shift
-        high = (magnitudes >> _LIMB_BITS) << shift
-        contrib0 = (low & _LIMB_MASK) * signs
-        contrib1 = ((low >> _LIMB_BITS) + (high & _LIMB_MASK)) * signs
-        contrib2 = (high >> _LIMB_BITS) * signs
-
-        # Window the limb range to what the data occupies (plus carry
-        # headroom); full float64 range would be ~70 limbs per group.
-        limb_lo = int(limb.min())
-        n_limbs = int(limb.max()) - limb_lo + 4
-        accumulator = np.zeros(n_groups * n_limbs, dtype=np.int64)
-        base = g * n_limbs + (limb - limb_lo)
-        np.add.at(accumulator, base, contrib0)
-        np.add.at(accumulator, base + 1, contrib1)
-        np.add.at(accumulator, base + 2, contrib2)
-        accumulator = accumulator.reshape(n_groups, n_limbs)
-        for j in range(n_limbs - 1):
-            carry = accumulator[:, j] >> _LIMB_BITS  # arithmetic shift
-            accumulator[:, j] -= carry << _LIMB_BITS
-            accumulator[:, j + 1] += carry
-        # Low limbs are now in [0, 2**32); the top limb keeps the sign.
-        tops = accumulator[:, -1]
-        body = np.ascontiguousarray(
-            accumulator[:, :-1].astype(np.uint32)
-        ).astype("<u4").tobytes()
-        row_bytes = 4 * (n_limbs - 1)
-        top_shift = _LIMB_BITS * (n_limbs - 1)
-        result_shift = _LIMB_BITS * limb_lo - _BIAS
-        for i in np.flatnonzero(~fallback & (counts > 0)).tolist():
-            total = int.from_bytes(
-                body[i * row_bytes:(i + 1) * row_bytes], "little"
-            ) + (int(tops[i]) << top_shift)
-            if total:
-                out[i] = _scaled_float(total, result_shift)
-
-    for i in np.flatnonzero(fallback).tolist():
-        out[i] = math.fsum(
-            values[int(offsets[i]):int(offsets[i + 1])].tolist()
-        )
-    return out
+    listed = values.tolist()
+    bounds = offsets.tolist()
+    return np.array(
+        [fsum(listed[lo:hi]) for lo, hi in zip(bounds, bounds[1:])],
+        dtype=np.float64,
+    )

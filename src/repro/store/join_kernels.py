@@ -118,6 +118,17 @@ def _group_ranks(groups: np.ndarray) -> np.ndarray:
     )
 
 
+def _anchor_min_gaps(a_rows: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Per candidate, the smallest gap among its anchor's candidates.
+
+    *a_rows* must be grouped by anchor, as :func:`expand_windows` lays
+    them out, so this is one ``minimum.reduceat`` over the anchor runs.
+    """
+    run_starts = np.flatnonzero(np.r_[True, a_rows[1:] != a_rows[:-1]])
+    counts = np.diff(np.r_[run_starts, a_rows.size])
+    return np.repeat(np.minimum.reduceat(gaps, run_starts), counts)
+
+
 def join_pairs(
     a_starts: np.ndarray,
     a_stops: np.ndarray,
@@ -215,6 +226,12 @@ def join_pairs(
     a_rows, e_pos, gaps = a_rows[keep], e_pos[keep], gaps[keep]
     if a_rows.size == 0:
         return _EMPTY, _EMPTY, _EMPTY
+    if md_k == 1:
+        # Only candidates at their anchor's smallest gap can be picked;
+        # dropping the rest keeps the survivors' relative order, so the
+        # ranks and ties below are unchanged and the lexsort is small.
+        near = gaps <= _anchor_min_gaps(a_rows, gaps)
+        a_rows, e_pos, gaps = a_rows[near], e_pos[near], gaps[near]
     # lexsort is stable over the left-sorted candidate order, so ties in
     # (gap, left, right) fall back to sample position -- exactly the
     # NearestIndex.nearest tie-break.

@@ -175,6 +175,68 @@ class TestCoverFamilyDifferential:
         ]
 
 
+def unique_profile(starts, stops):
+    """The sweep as first written: ``np.unique`` over the events, net
+    deltas by ``bincount``, depths by ``cumsum``."""
+    if starts.size == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    positions = np.concatenate((starts, stops))
+    deltas = np.ones(positions.size, dtype=np.int64)
+    deltas[starts.size:] = -1
+    bounds, inverse = np.unique(positions, return_inverse=True)
+    net = np.bincount(
+        inverse, weights=deltas, minlength=bounds.size
+    ).astype(np.int64)
+    return bounds, np.cumsum(net)
+
+
+_TOP = (1 << 63) - 1
+#: Wide intervals as ``(stop, width)``: small coordinates that collide
+#: often, and stops up to the largest int64 coordinate.
+_WIDE = st.tuples(
+    st.one_of(
+        st.integers(1, 12),
+        st.integers(_TOP - 12, _TOP),
+        st.sampled_from([1, 2, _TOP - 1, _TOP]),
+    ),
+    st.integers(1, 12),
+)
+
+
+class TestSweepProfile:
+    @given(st.lists(_WIDE, max_size=40), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_unique_formulation(self, intervals, presorted):
+        stops = [stop for stop, __ in intervals]
+        starts = [max(stop - width, 0) for stop, width in intervals]
+        if presorted:
+            # The shape the store hands over: each side sorted alone.
+            starts, stops = sorted(starts), sorted(stops)
+        starts = np.asarray(starts, dtype=np.int64)
+        stops = np.asarray(stops, dtype=np.int64)
+        bounds, depths = sweep_profile(starts, stops)
+        expected_bounds, expected_depths = unique_profile(starts, stops)
+        assert bounds.dtype == depths.dtype == np.int64
+        assert bounds.tolist() == expected_bounds.tolist()
+        assert depths.tolist() == expected_depths.tolist()
+
+    def test_coincident_starts_and_stops(self):
+        # [0, 5) ends where [5, 9) and [5, 7) start: the net-zero
+        # position stays a breakpoint, with the depth from it on.
+        starts = np.asarray([0, 5, 5], dtype=np.int64)
+        stops = np.asarray([5, 9, 7], dtype=np.int64)
+        bounds, depths = sweep_profile(starts, stops)
+        assert bounds.tolist() == [0, 5, 7, 9]
+        assert depths.tolist() == [1, 2, 1, 0]
+
+    def test_coordinates_at_the_int64_limit(self):
+        starts = np.asarray([_TOP - 2, _TOP - 1], dtype=np.int64)
+        stops = np.asarray([_TOP, _TOP], dtype=np.int64)
+        bounds, depths = sweep_profile(starts, stops)
+        assert bounds.tolist() == [_TOP - 2, _TOP - 1, _TOP]
+        assert depths.tolist() == [1, 2, 0]
+
+
 class TestMultisetSubtract:
     @given(
         st.lists(st.integers(0, 20), max_size=30),

@@ -1,12 +1,9 @@
-"""Dead-bin pruning for the COVER sweep: soundness and accounting.
+"""COVER over sparse inputs: clusters plus isolated singletons.
 
-``prune_dead_bins`` drops regions whose whole zone-map bin span counts
-below the clamped lower threshold -- positions there can never qualify,
-so removal must not change a single output row for *any* COVER variant.
-These tests hold the pruned sweep byte-identical to the unpruned one,
-pin the no-op guards (threshold < 2, missing bin size, pathological bin
-spans), and check the ``store.partitions_pruned`` counter reaches the
-execution context through both the columnar and parallel backends.
+A COVER of lower threshold 2 or more leaves an isolated singleton with
+no qualifying position, yet the sweep reads every region.  These tests
+hold the sweep to the naive interval functions on that shape, and pin
+that a COVER reports no pruned partitions through either engine.
 """
 
 import random
@@ -16,7 +13,6 @@ import pytest
 from repro.engine.context import ExecutionContext
 from repro.gdm import (
     Dataset,
-    GenomicRegion,
     Metadata,
     RegionSchema,
     Sample,
@@ -24,116 +20,12 @@ from repro.gdm import (
     region,
 )
 from repro.gmql.lang import execute
-from repro.store import SampleBlocks
-from repro.store import cover_kernels
-from repro.store.cover_kernels import (
-    block_cover_columns,
-    group_cover_rows,
-    prune_dead_bins,
+from tests.store.test_cover_kernels import (
+    BIN,
+    VARIANTS,
+    kernel_rows,
+    naive_rows,
 )
-
-BIN = 64
-VARIANTS = ("COVER", "FLAT", "SUMMIT", "HISTOGRAM")
-
-#: Two coincident regions in the first bin (depth 2 qualifies at lo=2)
-#: plus one isolated singleton far away (its bins are dead at lo=2).
-SPARSE = [
-    [("chr1", 10, 60, "+"), ("chr1", 40 * BIN, 30, "*")],
-    [("chr1", 10, 60, "-")],
-]
-
-
-def make_blocks(groups):
-    return [
-        SampleBlocks(
-            None,
-            [
-                GenomicRegion(chrom, pos, pos + width, strand)
-                for chrom, pos, width, strand in spec
-            ],
-            BIN,
-        )
-        for spec in groups
-    ]
-
-
-def chr1_parts(groups, variant):
-    return [
-        block_cover_columns(blocks.chroms["chr1"], variant, with_pairs=True)
-        for blocks in make_blocks(groups)
-    ]
-
-
-def sweep_rows(groups, lo, hi, variant, bin_size=None, on_pruned=None):
-    return [
-        (chrom, left, right, depth)
-        for chrom, lefts, rights, depths in group_cover_rows(
-            make_blocks(groups), lo, hi, variant,
-            bin_size=bin_size, on_pruned=on_pruned,
-        )
-        for left, right, depth in zip(
-            lefts.tolist(), rights.tolist(), depths.tolist()
-        )
-    ]
-
-
-class TestPruneDeadBins:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_prunes_isolated_singletons(self, variant):
-        parts, pruned = prune_dead_bins(
-            chr1_parts(SPARSE, variant), 2, BIN, variant
-        )
-        assert pruned >= 1
-        # The lonely region was dropped from its part outright.
-        assert parts[0][0].size == 1
-        assert parts[1][0].size == 1
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_threshold_below_two_is_a_no_op(self, variant):
-        parts, pruned = prune_dead_bins(
-            chr1_parts(SPARSE, variant), 1, BIN, variant
-        )
-        assert pruned == 0
-        assert all(p[0].size == len(spec) for p, spec in zip(parts, SPARSE))
-
-    @pytest.mark.parametrize("bin_size", [None, 0])
-    def test_missing_bin_size_is_a_no_op(self, bin_size):
-        __, pruned = prune_dead_bins(
-            chr1_parts(SPARSE, "COVER"), 2, bin_size, "COVER"
-        )
-        assert pruned == 0
-
-    def test_pathological_bin_span_skips_pruning(self, monkeypatch):
-        # The per-bin count pass allocates O(span); a giant sparse span
-        # must fall back to the plain sweep instead.
-        monkeypatch.setattr(cover_kernels, "PRUNE_MAX_BINS", 8)
-        __, pruned = prune_dead_bins(
-            chr1_parts(SPARSE, "COVER"), 2, BIN, "COVER"
-        )
-        assert pruned == 0
-
-    def test_output_arity_matches_the_sweep_consumers(self):
-        cover_parts, __ = prune_dead_bins(
-            chr1_parts(SPARSE, "COVER"), 2, BIN, "COVER"
-        )
-        flat_parts, __ = prune_dead_bins(
-            chr1_parts(SPARSE, "FLAT"), 2, BIN, "FLAT"
-        )
-        # left_stops is kept only where FLAT's extent pass needs it.
-        assert {len(part) for part in cover_parts} == {3}
-        assert {len(part) for part in flat_parts} == {4}
-
-    def test_zero_length_regions_drop_from_pruned_parts(self):
-        groups = [
-            [("chr1", 10, 60, "+"), ("chr1", 30, 0, "*"),
-             ("chr1", 40 * BIN, 30, "*")],
-            [("chr1", 10, 60, "-")],
-        ]
-        parts, pruned = prune_dead_bins(
-            chr1_parts(groups, "COVER"), 2, BIN, "COVER"
-        )
-        assert pruned >= 1
-        assert parts[0][0].size == 1  # zero-length + singleton both gone
 
 
 def random_sparse_groups(seed):
@@ -162,22 +54,13 @@ class TestPrunedSweepDifferential:
     @pytest.mark.parametrize("lo,hi", [(2, 1 << 62), (3, 3)])
     def test_pruned_sweep_is_byte_identical(self, variant, seed, lo, hi):
         groups = random_sparse_groups(seed)
-        assert sweep_rows(groups, lo, hi, variant, bin_size=BIN) == \
-            sweep_rows(groups, lo, hi, variant, bin_size=None)
-
-    def test_on_pruned_reports_eliminated_bins(self):
-        counts = []
-        sweep_rows(SPARSE, 2, 1 << 62, "COVER", bin_size=BIN,
-                   on_pruned=counts.append)
-        assert sum(counts) >= 1
+        assert kernel_rows(groups, lo, hi, variant) == \
+            naive_rows(groups, lo, hi, variant)
 
 
 def sparse_dataset() -> Dataset:
-    """Three samples: one shared hot cluster, many lonely singletons.
-
-    Singletons sit in distinct ``DEFAULT_BIN_SIZE`` (100 kb) zone-map
-    bins, so the engines' dead-bin pass has something to eliminate.
-    """
+    """Three samples: one shared hot cluster, many lonely singletons,
+    each in its own ``DEFAULT_BIN_SIZE`` (100 kb) zone-map bin."""
     rng = random.Random(31)
     ds = Dataset("DATA", RegionSchema())
     for sid in range(1, 4):
@@ -206,4 +89,6 @@ class TestCounterThroughEngines:
         assert list(actual["R"].region_rows()) == list(
             expected["R"].region_rows()
         )
-        assert context.metrics.counter("store.partitions_pruned") > 0
+        # ``store.partitions_pruned`` counts MAP's and JOIN's zone-map
+        # pruning; COVER sweeps every region and prunes nothing.
+        assert context.metrics.counter("store.partitions_pruned") == 0

@@ -9,7 +9,10 @@ same sequence).  Every kernel assertion therefore compares ordered pair
 lists, not sets.
 """
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +28,7 @@ from repro.gmql.genometric import (
 from repro.intervals import NearestIndex
 from repro.store import SampleBlocks
 from repro.store.join_kernels import (
+    _anchor_min_gaps,
     expand_windows,
     group_offsets,
     join_pairs,
@@ -209,6 +213,54 @@ class TestJoinPairsDifferential:
         assert _kernel_pairs(anchors, experiment, condition) == _naive_pairs(
             anchors, experiment, condition
         )
+
+
+def dense_regions(rng, count, strands="+"):
+    """*count* regions packed into 500 bases: heavy overlap, shared
+    starts and stops, zero-length points among them."""
+    regions = []
+    for __ in range(count):
+        left = rng.randrange(500)
+        width = rng.choice([0, 1, 2, rng.randrange(40), rng.randrange(200)])
+        regions.append(GenomicRegion(
+            "chr1", left, min(left + width, 500), rng.choice(strands)
+        ))
+    return regions
+
+
+class TestDenseNearest:
+    """MD(k) where every anchor has dozens of candidates at the same few
+    gaps: the MD(1) nearest-gap filter must keep every candidate the ranks
+    can pick, ties included, in the naive order, and k > 1 must rank the
+    full pool the same way."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("direction", [(), (Upstream(),), (Downstream(),)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_naive_in_order(self, k, direction, seed):
+        rng = random.Random(seed)
+        anchors = dense_regions(rng, 40, "+-*")
+        experiment = dense_regions(rng, 150)
+        for clauses in ((MinDistance(k), *direction),
+                        (MinDistance(k), *direction, DistLess(5))):
+            condition = GenometricCondition(*clauses)
+            assert _kernel_pairs(
+                anchors, experiment, condition
+            ) == _naive_pairs(anchors, experiment, condition)
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from(
+        [-(1 << 62), -3, 0, 0, 1, 2, 7, (1 << 62)]
+    )), min_size=1, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_anchor_min_gaps(self, pairs):
+        pairs.sort(key=lambda pair: pair[0])
+        a_rows = np.asarray([a for a, __ in pairs], dtype=np.int64)
+        gaps = np.asarray([gap for __, gap in pairs], dtype=np.int64)
+        by_anchor: dict = {}
+        for a, gap in pairs:
+            by_anchor.setdefault(a, []).append(gap)
+        expected = [min(by_anchor[a]) for a, __ in pairs]
+        assert _anchor_min_gaps(a_rows, gaps).tolist() == expected
 
 
 class TestOverlapPairs:
